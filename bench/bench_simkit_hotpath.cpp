@@ -8,12 +8,22 @@
 // exceed std::function's typical small-buffer size — matching the
 // simulator's real callbacks, which capture `this` plus request state.
 //
+// A second case replays the straggler scheduler's latency-histogram churn:
+// reads arrive in bursts of 16 (one job's strips), each reply records one
+// sample and every read asks for the median. It runs against
+// sim::Histogram (sorted prefix plus unsorted tail) and against a replica
+// of the pre-change histogram that re-sorts every sample on the first
+// query after any record.
+//
 // Deliberately not a google-benchmark binary: it emits one JSON document
-// (BENCH_simkit.json by default) with events/sec for both engines and the
-// speedup ratio, which CI uploads as an artifact.
+// (BENCH_simkit.json by default) with events/sec for both engines, ns/read
+// for both histograms and the speedup ratios, which CI uploads as an
+// artifact. Exits 2 if the histogram speedup falls below 10x.
 //
 // Usage: bench_simkit_hotpath [--events=N] [--out=FILE]
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -26,6 +36,7 @@
 
 #include "simkit/event_queue.hpp"
 #include "simkit/random.hpp"
+#include "simkit/stats.hpp"
 #include "simkit/time.hpp"
 
 namespace {
@@ -144,6 +155,70 @@ ChurnResult run_churn(std::uint64_t total_events, MakeAction make_action) {
   return result;
 }
 
+// sim::Histogram as it existed before the sorted-prefix change, kept here
+// verbatim (minus the members the churn does not call) so the comparison
+// never drifts: every record clears the sorted flag, and the next query
+// sorts the whole history.
+class LegacyHistogram {
+ public:
+  void record(double sample) {
+    samples_.push_back(sample);
+    sorted_ = samples_.size() <= 1;
+  }
+
+  [[nodiscard]] std::size_t count() const { return samples_.size(); }
+
+  [[nodiscard]] double quantile(double q) const {
+    ensure_sorted();
+    if (q == 0.0) return samples_.front();
+    const auto n = samples_.size();
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(n)));
+    return samples_[rank - 1];
+  }
+
+ private:
+  void ensure_sorted() const {
+    if (!sorted_) {
+      std::sort(samples_.begin(), samples_.end());
+      sorted_ = true;
+    }
+  }
+
+  mutable std::vector<double> samples_;
+  mutable bool sorted_ = true;
+};
+
+struct HistChurnResult {
+  double median_sum = 0.0;  // sum of every median read, for cross-checking
+  double seconds = 0.0;
+};
+
+// The straggler scheduler's pattern: a job's `burst` reads each take the
+// median (re-route check / hedge timer), then their replies record one
+// latency each. Latencies take 256 distinct values, as the simulator's
+// deterministic service times give its histograms few distinct values.
+template <typename Hist>
+HistChurnResult run_hist_churn(std::uint64_t reads, std::uint64_t burst) {
+  Hist hist;
+  das::sim::Rng rng(0xB0257);
+  HistChurnResult result;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < reads; i += burst) {
+    if (hist.count() > 0) {
+      for (std::uint64_t b = 0; b < burst; ++b) {
+        result.median_sum += hist.quantile(0.5);
+      }
+    }
+    for (std::uint64_t b = 0; b < burst; ++b) {
+      hist.record(static_cast<double>(rng.next_u64() >> 56) * 1e-4);
+    }
+  }
+  const auto stop = std::chrono::steady_clock::now();
+  result.seconds = std::chrono::duration<double>(stop - start).count();
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -198,6 +273,27 @@ int main(int argc, char** argv) {
       static_cast<double>(fresh.delivered) / fresh.seconds;
   const double speedup = fresh_eps / legacy_eps;
 
+  // Histogram churn: warm-up, then legacy first, as for the queues.
+  constexpr std::uint64_t kHistReads = 32'768;
+  constexpr std::uint64_t kBurst = 16;
+  run_hist_churn<LegacyHistogram>(kHistReads / 10, kBurst);
+  run_hist_churn<das::sim::Histogram>(kHistReads / 10, kBurst);
+  const HistChurnResult hist_legacy =
+      run_hist_churn<LegacyHistogram>(kHistReads, kBurst);
+  const HistChurnResult hist_fresh =
+      run_hist_churn<das::sim::Histogram>(kHistReads, kBurst);
+  if (hist_legacy.median_sum != hist_fresh.median_sum) {
+    std::fprintf(stderr,
+                 "FAIL: histograms diverged (legacy median sum %.17g, "
+                 "new %.17g)\n",
+                 hist_legacy.median_sum, hist_fresh.median_sum);
+    return 1;
+  }
+  const double reads_d = static_cast<double>(kHistReads);
+  const double hist_legacy_ns = hist_legacy.seconds * 1e9 / reads_d;
+  const double hist_fresh_ns = hist_fresh.seconds * 1e9 / reads_d;
+  const double hist_speedup = hist_legacy_ns / hist_fresh_ns;
+
   char json[1024];
   std::snprintf(
       json, sizeof(json),
@@ -207,15 +303,29 @@ int main(int argc, char** argv) {
       "  \"checksum\": %llu,\n"
       "  \"new\": {\"events_per_sec\": %.0f, \"ns_per_event\": %.2f},\n"
       "  \"legacy\": {\"events_per_sec\": %.0f, \"ns_per_event\": %.2f},\n"
-      "  \"speedup\": %.3f\n"
+      "  \"speedup\": %.3f,\n"
+      "  \"histogram\": {\"reads\": %llu, \"burst\": %llu, "
+      "\"new_ns_per_read\": %.2f, \"legacy_ns_per_read\": %.2f, "
+      "\"speedup\": %.3f}\n"
       "}\n",
       static_cast<unsigned long long>(fresh.delivered),
       static_cast<unsigned long long>(fresh.checksum), fresh_eps,
-      1e9 / fresh_eps, legacy_eps, 1e9 / legacy_eps, speedup);
+      1e9 / fresh_eps, legacy_eps, 1e9 / legacy_eps, speedup,
+      static_cast<unsigned long long>(kHistReads),
+      static_cast<unsigned long long>(kBurst), hist_fresh_ns, hist_legacy_ns,
+      hist_speedup);
 
   std::printf("%s", json);
   std::ofstream out(out_path);
   out << json;
   std::printf("wrote %s\n", out_path.c_str());
+  // Gate: the sorted-prefix histogram must stay well clear of the
+  // full-resort replica on the straggler scheduler's access pattern.
+  if (hist_speedup < 10.0) {
+    std::fprintf(stderr,
+                 "FAIL: histogram churn speedup %.2fx is below 10x\n",
+                 hist_speedup);
+    return 2;
+  }
   return 0;
 }

@@ -32,7 +32,6 @@ double TimeWeightedGauge::average(SimTime now) const {
 
 void Histogram::record(double sample) {
   samples_.push_back(sample);
-  sorted_ = samples_.size() <= 1;
   sum_ += sample;
 }
 
@@ -74,23 +73,26 @@ HistogramSummary Histogram::summary() const {
 
 void Histogram::merge(const Histogram& other) {
   if (other.samples_.empty()) return;
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.end());
-  sorted_ = samples_.size() <= 1;
+  // Resize, then copy: well defined even when `other` is *this.
+  const std::size_t incoming = other.samples_.size();
+  const std::size_t held = samples_.size();
+  samples_.resize(held + incoming);
+  std::copy_n(other.samples_.data(), incoming, samples_.data() + held);
   sum_ += other.sum_;
 }
 
 void Histogram::reset() {
   samples_.clear();
-  sorted_ = true;
+  sorted_ = 0;
   sum_ = 0.0;
 }
 
 void Histogram::ensure_sorted() const {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
+  if (sorted_ == samples_.size()) return;
+  const auto tail = samples_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+  std::sort(tail, samples_.end());
+  std::inplace_merge(samples_.begin(), tail, samples_.end());
+  sorted_ = samples_.size();
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {

@@ -64,6 +64,15 @@ struct HistogramSummary {
 ///
 /// Experiments in this repository record at most a few million samples per
 /// histogram, so exact storage is affordable and avoids sketch error.
+///
+/// Cost model: the samples are a sorted prefix followed by an unsorted tail
+/// of everything recorded or merged since the last query. record() and
+/// count/sum/mean are O(1); merge() is O(m) for m incoming samples. The
+/// first order query (quantile, min, max, summary) after k new samples sorts
+/// only the tail and merges it into the prefix, O(k log k + n) for n stored
+/// samples; further queries with no new samples are O(1). A caller that
+/// interleaves record() with quantile() -- the straggler scheduler asks for
+/// the median on every read -- thus pays linear, not n log n, per query.
 class Histogram {
  public:
   void record(double sample);
@@ -89,10 +98,12 @@ class Histogram {
   void reset();
 
  private:
+  /// Sort the tail and merge it into the sorted prefix.
   void ensure_sorted() const;
 
+  /// samples_[0, sorted_) is sorted; the rest is in arrival order.
   mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
+  mutable std::size_t sorted_ = 0;
   double sum_ = 0.0;
 };
 

@@ -66,7 +66,10 @@ double SloMonitor::window_p99_s(std::uint32_t tenant) const {
   latencies.reserve(window.size());
   for (const Sample& s : window) latencies.push_back(s.latency_s);
   std::sort(latencies.begin(), latencies.end());
-  // Nearest-rank p99, matching sim::Histogram::quantile.
+  // Rounded-index p99: the sample at index round(0.99 * (n - 1)), halves
+  // rounding up. This is not sim::Histogram's nearest rank (index
+  // ceil(0.99 * n) - 1); the two differ for some n, e.g. 58 vs 59 at n = 60.
+  // The value feeds the metrics CSV, so the rule stays as it is.
   const auto rank = static_cast<std::size_t>(
       0.99 * static_cast<double>(latencies.size() - 1) + 0.5);
   return latencies[std::min(rank, latencies.size() - 1)];

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "simkit/stats.hpp"
 #include "simkit/time.hpp"
 
 namespace das::telemetry {
@@ -72,6 +73,20 @@ TEST(SloMonitorTest, AlertFiresOncePerTenantAtMinimumSampleCount) {
   // Further breaches are latched out.
   slo.record(2, sim::milliseconds(9), 1.0);
   EXPECT_EQ(calls, 1);
+}
+
+TEST(SloMonitorTest, WindowP99IsTheRoundedIndexNotNearestRank) {
+  // Pins the rule window_p99_s uses, which feeds the metrics CSV: the sample
+  // at index round(0.99 * (n - 1)). At n = 60 that is index 58 (the 59th
+  // smallest), where sim::Histogram's nearest rank picks index 59.
+  SloMonitor slo(make_config(/*target_s=*/100.0));
+  sim::Histogram histogram;
+  for (int i = 60; i >= 1; --i) {  // unsorted arrival order
+    slo.record(0, sim::milliseconds(61 - i), static_cast<double>(i));
+    histogram.record(static_cast<double>(i));
+  }
+  EXPECT_EQ(slo.window_p99_s(0), 59.0);
+  EXPECT_EQ(histogram.quantile(0.99), 60.0);
 }
 
 TEST(SloMonitorTest, AlertsAreIndependentPerTenant) {

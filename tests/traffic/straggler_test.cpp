@@ -91,6 +91,33 @@ TEST(StragglerTest, HealthyClusterHedgesRarelyAndStaysCorrect) {
   EXPECT_LT(report.hedges_issued, report.reads_issued / 4);
 }
 
+TEST(StragglerTest, MitigationDecisionsArePinned) {
+  // Golden for the scheduler's decisions: with re-routing and hedging over
+  // three replicas and two 32x stragglers, every re-route check and hedge
+  // timer reads the global latency median, so a change in the quantiles the
+  // scheduler sees moves these counters. The latency summary (reads plus
+  // hedges) pins the histogram's own answers at report time.
+  TrafficConfig on = slow_server_config();
+  on.straggler.hedge = true;
+  on.straggler.reroute = true;
+  const TrafficReport report = run_traffic(on);
+
+  EXPECT_EQ(report.total.jobs_completed, 32u * 8u);
+  EXPECT_EQ(report.reads_issued, 1024u);
+  EXPECT_EQ(report.reroutes, 182u);
+  EXPECT_EQ(report.hedges_issued, 52u);
+  EXPECT_EQ(report.hedges_won, 29u);
+  EXPECT_EQ(report.wasted_bytes, 54525952u);  // 52 losing 1 MiB copies
+
+  const sim::HistogramSummary& latency = report.read_latency;
+  EXPECT_EQ(latency.count, 1076u);
+  EXPECT_EQ(latency.mean, 0.052072324996282837);
+  EXPECT_EQ(latency.p50, 0.039748019000000002);
+  EXPECT_EQ(latency.p95, 0.121714633);
+  EXPECT_EQ(latency.p99, 0.281570239);
+  EXPECT_EQ(latency.max, 0.36504357900000001);
+}
+
 /// Direct-scheduler fixture: 4 storage servers + 1 client over a plain Pfs,
 /// so per-server latency history can be shaped read by read (bursts to one
 /// server serialize at its disk and inflate its observed latency).

@@ -449,6 +449,7 @@ int main(int argc, char** argv) {
     plane_cfg.slo.target_s = slo_target_ms / 1000.0;
     plane_cfg.slo.budget = args.get_double("slo-budget", 0.01);
     plane_cfg.slo.window_s = args.get_double("slo-window-s", 1.0);
+    plane_cfg.slo.max_tenants = traffic.arrivals.tenants;
     const bool plane_active = plane_cfg.metrics || plane_cfg.spans ||
                               plane_cfg.slo.target_s > 0.0;
     std::unique_ptr<das::telemetry::Plane> plane;
