@@ -131,6 +131,50 @@ TEST(PipelineTest, StageReportsCarryPerStageCacheDeltas) {
   EXPECT_GT(issued_sum, 0U);
 }
 
+/// One pinned pipeline report (a stage, or the combined row).
+struct PinnedStage {
+  const char* kernel;
+  bool verified;
+  double max_error;
+  double exec_seconds;
+  std::uint64_t client_server_bytes;
+  std::uint64_t server_server_bytes;
+};
+
+void expect_pinned(const std::vector<RunReport>& reports,
+                   const std::vector<PinnedStage>& pinned) {
+  ASSERT_EQ(reports.size(), pinned.size());
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    SCOPED_TRACE("report " + std::to_string(i));
+    EXPECT_EQ(reports[i].kernel, pinned[i].kernel);
+    EXPECT_EQ(reports[i].output_verified, pinned[i].verified);
+    EXPECT_DOUBLE_EQ(reports[i].output_max_error, pinned[i].max_error);
+    EXPECT_DOUBLE_EQ(reports[i].exec_seconds, pinned[i].exec_seconds);
+    EXPECT_EQ(reports[i].client_server_bytes, pinned[i].client_server_bytes);
+    EXPECT_EQ(reports[i].server_server_bytes, pinned[i].server_server_bytes);
+  }
+}
+
+// Twin of SchemeTest.CorrectnessRowsArePinned for the stage-wise reference
+// chain, recorded on a build that regenerated the input to start it. The
+// filter chain verifies its second stage against the chained reference.
+TEST(PipelineTest, CorrectnessRowsArePinned) {
+  SchemeRunOptions o = base_options(Scheme::kDAS);
+  o.workload.strip_size = 256;  // 64-cell rows, one per strip
+  o.workload.data_bytes = 96 * 256;
+  expect_pinned(run_pipeline(o, kTerrainChain),
+                {{"flow-routing", true, 0, 0.0022007240000000003, 0, 5120},
+                 {"flow-accumulation", false, 0, 0.0021989879999999998, 0,
+                  5120},
+                 {"pipeline", false, 0, 0.0043997120000000001, 0, 10240}});
+
+  o.workload.kernel_name = "gaussian-2d";
+  expect_pinned(run_pipeline(o, {"gaussian-2d", "median-3x3"}),
+                {{"gaussian-2d", true, 0, 0.0022033280000000001, 0, 5120},
+                 {"median-3x3", true, 0, 0.002212009, 0, 5120},
+                 {"pipeline", false, 0, 0.0044153370000000001, 0, 10240}});
+}
+
 TEST(PipelineDeathTest, EmptyChainAborts) {
   EXPECT_DEATH(run_pipeline(base_options(Scheme::kTS), {}), "DAS_REQUIRE");
 }

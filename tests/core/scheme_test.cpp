@@ -99,6 +99,51 @@ TEST(SchemeTrafficTest, DasWithoutPreDistributionRedistributesForPipelines) {
   EXPECT_TRUE(r.output_verified);
 }
 
+/// One correctness-mode run, pinned: what verification reported and what
+/// the run cost in simulated time and bytes moved.
+struct PinnedRow {
+  Scheme scheme;
+  const char* kernel;
+  bool verified;
+  double max_error;
+  double exec_seconds;
+  std::uint64_t client_server_bytes;
+  std::uint64_t server_server_bytes;
+};
+
+// Rows recorded on a build that regenerated the input raster to verify.
+// Verifying against the run's own input copy must reproduce them exactly.
+// flow-accumulation reads the routed raster rather than the DEM; it is not
+// tile-exact, so it is never verified, but its run must not move either.
+TEST(SchemeTest, CorrectnessRowsArePinned) {
+  static const PinnedRow kRows[] = {
+      {Scheme::kTS, "flow-routing", true, 0, 0.011613095, 52224, 0},
+      {Scheme::kTS, "gaussian-2d", true, 0, 0.011613095, 52224, 0},
+      {Scheme::kTS, "flow-accumulation", false, 0, 0.011613095, 52224, 0},
+      {Scheme::kNAS, "flow-routing", true, 0, 0.027603294, 0, 96768},
+      {Scheme::kNAS, "gaussian-2d", true, 0, 0.027820701000000003, 0, 96768},
+      {Scheme::kNAS, "flow-accumulation", false, 0, 0.027603076000000001, 0,
+       96768},
+      {Scheme::kDAS, "flow-routing", true, 0, 0.0037951800000000004, 0,
+       11264},
+      {Scheme::kDAS, "gaussian-2d", true, 0, 0.0037951800000000004, 0, 11264},
+      {Scheme::kDAS, "flow-accumulation", false, 0, 0.0037951800000000004, 0,
+       11264},
+  };
+  for (const PinnedRow& row : kRows) {
+    SCOPED_TRACE(std::string(to_string(row.scheme)) + " " + row.kernel);
+    SchemeRunOptions o = data_options(row.scheme, row.kernel);
+    o.workload.strip_size = 256;  // 64-cell rows, one per strip
+    o.workload.data_bytes = 96 * 256;
+    const RunReport r = run_scheme(o);
+    EXPECT_EQ(r.output_verified, row.verified);
+    EXPECT_DOUBLE_EQ(r.output_max_error, row.max_error);
+    EXPECT_DOUBLE_EQ(r.exec_seconds, row.exec_seconds);
+    EXPECT_EQ(r.client_server_bytes, row.client_server_bytes);
+    EXPECT_EQ(r.server_server_bytes, row.server_server_bytes);
+  }
+}
+
 TEST(SchemeTimingTest, PaperOrderingDasBeatsTsBeatsNas) {
   const RunReport ts =
       run_scheme(timing_options(Scheme::kTS, "flow-routing"));
