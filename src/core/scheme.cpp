@@ -330,19 +330,29 @@ void fill_audit(RunReport& report, const SchemeRunOptions& options,
           : 0.0;
 }
 
-/// Verify a produced output file against the sequential reference.
-void verify_output(RunReport& report, Cluster& cluster, pfs::FileId output,
-                   const WorkloadSpec& workload,
-                   const kernels::ProcessingKernel& kernel) {
-  if (output == pfs::kInvalidFile) return;
-  if (!workload.with_data || !kernel.tile_exact()) return;
-  const auto bytes = cluster.pfs().gather_bytes(output);
-  const grid::Grid<float> produced =
-      grid::from_bytes(bytes, workload.width(), workload.height());
-  const grid::Grid<float> reference =
-      make_reference_output(workload, kernel);
+/// Gather output file `output` and record how far it is from `reference`.
+void verify_against(RunReport& report, Cluster& cluster, pfs::FileId output,
+                    const WorkloadSpec& workload,
+                    const grid::Grid<float>& reference) {
+  const grid::Grid<float> produced = grid::from_bytes(
+      cluster.pfs().gather_bytes(output), workload.width(), workload.height());
   report.output_max_error = grid::max_abs_diff(produced, reference);
   report.output_verified = produced == reference;
+}
+
+/// Verify a produced output file against the sequential reference, computed
+/// from `input`: the host copy of the input bytes the run created its input
+/// file from. The PFS holds its own copy, so the reference never reads it.
+void verify_output(RunReport& report, Cluster& cluster, pfs::FileId output,
+                   const WorkloadSpec& workload,
+                   const kernels::ProcessingKernel& kernel,
+                   const std::vector<std::byte>* input) {
+  if (!workload.with_data) return;
+  DAS_REQUIRE(input != nullptr && "correctness mode keeps its input copy");
+  if (output == pfs::kInvalidFile || !kernel.tile_exact()) return;
+  const grid::Grid<float> reference = kernel.run_reference(
+      grid::from_bytes(*input, workload.width(), workload.height()));
+  verify_against(report, cluster, output, workload, reference);
 }
 
 /// Expand a region list to the whole strips it touches (adjacent strips
@@ -558,7 +568,8 @@ RunReport run_scheme(const SchemeRunOptions& options) {
   fill_audit(report, options, cluster, meta, offsets, *kernel, input,
              das_result, asc.get(), active_execs);
 
-  verify_output(report, cluster, output, workload, *kernel);
+  verify_output(report, cluster, output, workload, *kernel,
+                data ? &*data : nullptr);
   return report;
 }
 
@@ -695,27 +706,26 @@ std::vector<RunReport> run_pipeline(
 
   std::vector<RunReport> reports;
   RunReport combined = make_base_report(options, "pipeline");
-  // Stage-wise verification chains the references: stage i is checked
-  // against kernel_i applied to the reference output of stage i-1, and only
-  // while every upstream stage was tile-exact (a non-exact stage's output
-  // legitimately diverges from the reference downstream).
+  // Stage-wise verification chains the references from the retained input
+  // copy: stage i is checked against kernel_i applied to the reference
+  // output of stage i-1, and only while every stage so far was tile-exact
+  // (a non-exact stage's output legitimately diverges from the reference
+  // downstream, so the chain stops there).
   std::optional<grid::Grid<float>> reference;
-  bool upstream_exact = true;
-  if (workload.with_data) reference = make_input(workload, *chain.front());
+  if (data) {
+    reference = grid::from_bytes(*data, workload.width(), workload.height());
+  }
   for (std::size_t i = 0; i < stages->size(); ++i) {
     Stage& stage = (*stages)[i];
     DAS_REQUIRE(stage.finish >= 0 && "pipeline stage did not complete");
-    if (workload.with_data && !chain[i]->is_reduction()) {
-      reference = chain[i]->run_reference(*reference);
-      if (upstream_exact && chain[i]->tile_exact()) {
-        const auto bytes = cluster.pfs().gather_bytes(stage.output);
-        const grid::Grid<float> produced =
-            grid::from_bytes(bytes, workload.width(), workload.height());
-        stage.report.output_max_error =
-            grid::max_abs_diff(produced, *reference);
-        stage.report.output_verified = produced == *reference;
+    if (reference && !chain[i]->is_reduction()) {
+      if (chain[i]->tile_exact()) {
+        reference = chain[i]->run_reference(*reference);
+        verify_against(stage.report, cluster, stage.output, workload,
+                       *reference);
+      } else {
+        reference.reset();
       }
-      upstream_exact = upstream_exact && chain[i]->tile_exact();
     }
     combined.client_server_bytes += stage.report.client_server_bytes;
     combined.server_server_bytes += stage.report.server_server_bytes;

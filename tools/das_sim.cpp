@@ -6,13 +6,13 @@
 //
 //   das_sim [--scheme=all|TS|NAS|DAS] [--kernel=all|<name>]
 //           [--gib=24] [--nodes=24] [--trials=1] [--csv] [--jobs=1]
-//           [--strip-kib=1024] [--group=16] [--budget=0.25]
+//           [--strip-kib=1024] [--group=16] [--budget-pct=25]
 //           [--pipeline=1] [--window=4] [--pre-distributed=true] [--repeats=1]
 //           [--cache-mib=0] [--cache-policy=lru]
 //           [--prefetch=on|off] [--prefetch-depth=0]
 //           [--migrate=off] [--migrate-threshold=4.0]
 //           [--nic-mibps=110] [--disk-mibps=700] [--compute-mibps=450]
-//           [--startup-s=12] [--jitter=0] [--stragglers=0] [--slowdown=1]
+//           [--startup-s=12] [--jitter-pct=0] [--stragglers=0] [--slowdown=1]
 //           [--trace=FILE] [--audit=FILE] [--log-level=LEVEL]
 //           [--tenants=1] [--arrival-rate=1.0] [--tenant-jobs=8]
 //           [--job-mib=16] [--datasets=1] [--replicas=2]
@@ -24,6 +24,10 @@
 //           [--kernel-isa=auto|scalar|sse2|avx2] [--calibrate-kernels]
 //           [--kernel-cost=NAME:FACTOR,...]
 //           [--access=strided:K|column|trace:FILE] [--span-sample=N]
+//
+// Every numeric flag is range-checked before anything runs: a value that is
+// not a number, or is out of range (--strip-kib=0, --gib=-1, --nodes=3,
+// --weights=abc, ...), exits 2 with a message naming the flag and the value.
 //
 // Sparse access (--access, src/core/list_access.hpp): instead of the full
 // raster sweep, read only every K-th row (strided:K), the middle column
@@ -88,21 +92,28 @@
 // request spans (per-hop critical-path attribution in the report table),
 // --slo-target-ms arms the per-tenant burn-rate monitor, and
 // --flight-record dumps the span flight-recorder ring captured at each SLO
-// alert. --diag writes a small JSON sidecar (wall seconds, event count) for
-// CI trending. Every output — trace, audit, SLO table, metrics, diag — is
-// stamped with one session id hashed from the run's semantic configuration
+// alert. --diag writes a small JSON sidecar for CI trending: the event
+// loops' summed wall seconds and event count, plus the whole process's wall
+// seconds (main entry to the sidecar write) and peak resident MiB. Every
+// output — trace, audit, SLO table, metrics, diag — is stamped with one
+// session id hashed from the run's semantic configuration
 // (never --jobs, output paths, or the telemetry flags themselves), so all
 // artifacts of one experiment join on one key. With every telemetry flag
 // off, outputs are byte-identical to a binary that never heard of them.
+#include <sys/resource.h>
+
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/audit.hpp"
@@ -120,6 +131,51 @@
 #include "traffic/engine.hpp"
 
 namespace {
+
+/// Integer flag `name` (absent: `fallback`), which must be a whole number in
+/// [lo, hi]. Anything else is a usage error naming the flag and the value,
+/// so no input reaches a DAS_REQUIRE, a division by zero or a wrapping cast.
+std::int64_t int_flag(const das::runner::Args& args, const std::string& name,
+                      std::int64_t fallback, std::int64_t lo,
+                      std::int64_t hi = UINT32_MAX) {
+  if (!args.has(name)) return fallback;
+  const std::string text = args.get(name, "");
+  const char* const end = text.data() + text.size();
+  std::int64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value < lo || value > hi) {
+    throw std::invalid_argument("--" + name + "=" + text +
+                                ": want an integer in [" + std::to_string(lo) +
+                                ", " + std::to_string(hi) + "]");
+  }
+  return value;
+}
+
+/// Parse `text` (the value of --`name`) as a finite real above `lo` (or at
+/// `lo` when `lo_inclusive`) and at most `hi`.
+double parse_real(const std::string& name, const std::string& text, double lo,
+                  bool lo_inclusive, double hi = HUGE_VAL) {
+  const char* const end = text.data() + text.size();
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value) ||
+      value > hi || (lo_inclusive ? value < lo : value <= lo)) {
+    char range[96];
+    std::snprintf(range, sizeof range, "%s%g, %g%s", lo_inclusive ? "[" : "(",
+                  lo, hi, std::isinf(hi) ? ")" : "]");
+    throw std::invalid_argument("--" + name + "=" + text +
+                                ": want a number in " + range);
+  }
+  return value;
+}
+
+/// Real-valued twin of int_flag.
+double real_flag(const das::runner::Args& args, const std::string& name,
+                 double fallback, double lo, bool lo_inclusive,
+                 double hi = HUGE_VAL) {
+  if (!args.has(name)) return fallback;
+  return parse_real(name, args.get(name, ""), lo, lo_inclusive, hi);
+}
 
 std::vector<das::core::Scheme> parse_schemes(const std::string& arg) {
   using das::core::Scheme;
@@ -232,14 +288,26 @@ void write_file(const std::string& path, const std::string& content,
 }
 
 /// The --diag sidecar: host-side run cost for CI trending, keyed by session.
+/// `wall_seconds` is event-loop time only; `process_wall_seconds` runs from
+/// `process_start` (main entry) to now, and the peak RSS is the process's.
 std::string diag_json(std::uint64_t session, double wall_seconds,
-                      std::uint64_t sim_events) {
-  char buf[160];
+                      std::uint64_t sim_events,
+                      std::chrono::steady_clock::time_point process_start) {
+  const double process_wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    process_start)
+          .count();
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const double peak_rss_mib = static_cast<double>(usage.ru_maxrss) / 1024.0;
+  char buf[256];
   std::snprintf(buf, sizeof buf,
                 "{\"session\": \"%s\", \"wall_seconds\": %.6f, "
-                "\"sim_events\": %llu}\n",
+                "\"sim_events\": %llu, \"process_wall_seconds\": %.6f, "
+                "\"peak_rss_mib\": %.1f}\n",
                 das::telemetry::session_hex(session).c_str(), wall_seconds,
-                static_cast<unsigned long long>(sim_events));
+                static_cast<unsigned long long>(sim_events),
+                process_wall_seconds, peak_rss_mib);
   return buf;
 }
 
@@ -247,6 +315,7 @@ std::string diag_json(std::uint64_t session, double wall_seconds,
 
 int main(int argc, char** argv) {
   using das::core::RunReport;
+  const auto process_start = std::chrono::steady_clock::now();
 
   try {
     const das::runner::Args args(argc, argv);
@@ -269,22 +338,34 @@ int main(int argc, char** argv) {
 
     const auto schemes = parse_schemes(args.get("scheme", "all"));
     const auto kernels = parse_kernels(args.get("kernel", "flow-routing"));
-    const auto gib = static_cast<std::uint64_t>(args.get_int("gib", 24));
-    const auto nodes = static_cast<std::uint32_t>(args.get_int("nodes", 24));
-    const auto trials = static_cast<std::uint32_t>(args.get_int("trials", 1));
+    const auto gib = static_cast<std::uint64_t>(
+        int_flag(args, "gib", 24, 1, std::int64_t{1} << 20));
+    const auto nodes = static_cast<std::uint32_t>(
+        int_flag(args, "nodes", 24, 2, std::int64_t{1} << 16));
+    if (nodes % 2 != 0) {
+      throw std::invalid_argument(
+          "--nodes=" + std::to_string(nodes) +
+          ": want an even count (half storage, half compute)");
+    }
+    const auto trials =
+        static_cast<std::uint32_t>(int_flag(args, "trials", 1, 1));
     const bool csv = args.get_bool("csv", false);
 
     das::core::SchemeRunOptions base;
     base.workload.data_bytes = gib << 30;
+    // At most 1 GiB, the smallest --gib, so a file holds at least a strip.
     base.workload.strip_size =
-        static_cast<std::uint64_t>(args.get_int("strip-kib", 1024)) << 10;
+        static_cast<std::uint64_t>(
+            int_flag(args, "strip-kib", 1024, 1, std::int64_t{1} << 20))
+        << 10;
     base.workload.raster_width = static_cast<std::uint32_t>(
         base.workload.strip_size / base.workload.element_size - 1);
     base.cluster = das::runner::paper_cluster(nodes);
     base.cluster.nic_bandwidth_bps =
-        static_cast<double>(args.get_int("nic-mibps", 110)) * 1024 * 1024;
+        static_cast<double>(int_flag(args, "nic-mibps", 110, 1)) * 1024 * 1024;
     base.cluster.disk_bandwidth_bps =
-        static_cast<double>(args.get_int("disk-mibps", 700)) * 1024 * 1024;
+        static_cast<double>(int_flag(args, "disk-mibps", 700, 1)) * 1024 *
+        1024;
     // --compute-mibps=auto runs the kernel calibration sweep once and feeds
     // the measured anchor rate (and, below, the measured per-kernel cost
     // factors) into the cluster, so the scheme decisions rest on this
@@ -297,31 +378,31 @@ int main(int argc, char** argv) {
       base.cluster.compute_rate_bps = calibrated->anchor_mibps * 1024 * 1024;
     } else {
       base.cluster.compute_rate_bps =
-          static_cast<double>(args.get_int("compute-mibps", 450)) * 1024 *
-          1024;
+          static_cast<double>(int_flag(args, "compute-mibps", 450, 1)) *
+          1024 * 1024;
     }
     base.cluster.job_startup =
-        das::sim::seconds(args.get_int("startup-s", 12));
+        das::sim::seconds(int_flag(args, "startup-s", 12, 0));
     base.cluster.disk_jitter =
-        static_cast<double>(args.get_int("jitter-pct", 0)) / 100.0;
-    base.cluster.straggler_count =
-        static_cast<std::uint32_t>(args.get_int("stragglers", 0));
+        static_cast<double>(int_flag(args, "jitter-pct", 0, 0, 99)) / 100.0;
+    base.cluster.straggler_count = static_cast<std::uint32_t>(
+        int_flag(args, "stragglers", 0, 0, nodes / 2));
     base.cluster.straggler_slowdown =
-        static_cast<double>(args.get_int("slowdown", 1));
+        static_cast<double>(int_flag(args, "slowdown", 1, 1));
     base.distribution.group_size =
-        static_cast<std::uint64_t>(args.get_int("group", 16));
+        static_cast<std::uint64_t>(int_flag(args, "group", 16, 1));
     base.distribution.max_capacity_overhead =
-        static_cast<double>(args.get_int("budget-pct", 25)) / 100.0;
+        static_cast<double>(int_flag(args, "budget-pct", 25, 0)) / 100.0;
     base.pipeline_length =
-        static_cast<std::uint32_t>(args.get_int("pipeline", 1));
+        static_cast<std::uint32_t>(int_flag(args, "pipeline", 1, 1));
     base.cluster.pipeline_window = static_cast<std::uint32_t>(
-        args.get_int("window", base.cluster.pipeline_window));
+        int_flag(args, "window", base.cluster.pipeline_window, 1));
     base.pre_distributed = args.get_bool("pre-distributed", true);
     base.repeat_count =
-        static_cast<std::uint32_t>(args.get_int("repeats", 1));
+        static_cast<std::uint32_t>(int_flag(args, "repeats", 1, 1));
     // Server-side strip cache: off unless a capacity is given.
-    const auto cache_mib =
-        static_cast<std::uint64_t>(args.get_int("cache-mib", 0));
+    const auto cache_mib = static_cast<std::uint64_t>(
+        int_flag(args, "cache-mib", 0, 0, std::int64_t{1} << 30));
     base.cluster.server_cache.enabled = cache_mib > 0;
     base.cluster.server_cache.capacity_bytes = cache_mib << 20;
     base.cluster.server_cache.policy = args.get("cache-policy", "lru");
@@ -329,7 +410,7 @@ int main(int argc, char** argv) {
     // PR-1 demand-fetch path bit for bit regardless of depth.
     const bool prefetch_on = args.get_bool("prefetch", true);
     const auto prefetch_depth =
-        static_cast<std::uint32_t>(args.get_int("prefetch-depth", 0));
+        static_cast<std::uint32_t>(int_flag(args, "prefetch-depth", 0, 0));
     base.cluster.prefetch.enabled = prefetch_on && prefetch_depth > 0;
     base.cluster.prefetch.depth = prefetch_depth;
     if (base.cluster.prefetch.active() &&
@@ -342,8 +423,8 @@ int main(int argc, char** argv) {
     // classic byte flows reproduce the migration-free system exactly.
     base.migration.enabled = args.get_bool("migrate", false);
     base.migration.divergence_threshold =
-        args.get_double("migrate-threshold",
-                        base.migration.divergence_threshold);
+        real_flag(args, "migrate-threshold",
+                  base.migration.divergence_threshold, 0.0, false);
     // Calibrated per-kernel compute cost factors (--calibrate-kernels
     // prints a ready-made value). Empty = kernel defaults, bit for bit.
     // Under --compute-mibps=auto the calibration's factors fill in every
@@ -364,7 +445,7 @@ int main(int argc, char** argv) {
         throw std::invalid_argument("unknown --log-level: " + level);
       }
     }
-    auto jobs = static_cast<unsigned>(args.get_int("jobs", 1));
+    auto jobs = static_cast<unsigned>(int_flag(args, "jobs", 1, 0));
     if (jobs == 0) jobs = das::runner::default_jobs();
 
     // Sparse list-I/O access (--access=strided:K|column|trace:FILE): the
@@ -381,31 +462,32 @@ int main(int argc, char** argv) {
     das::traffic::TrafficConfig traffic;
     traffic.cluster = base.cluster;
     traffic.arrivals.tenants =
-        static_cast<std::uint32_t>(args.get_int("tenants", 1));
+        static_cast<std::uint32_t>(int_flag(args, "tenants", 1, 1));
     traffic.arrivals.jobs_per_tenant =
-        static_cast<std::uint32_t>(args.get_int("tenant-jobs", 8));
-    traffic.arrivals.rate_hz = args.get_double("arrival-rate", 1.0);
+        static_cast<std::uint32_t>(int_flag(args, "tenant-jobs", 8, 1));
+    traffic.arrivals.rate_hz =
+        real_flag(args, "arrival-rate", 1.0, 0.0, false);
     traffic.arrivals.job_bytes =
-        static_cast<std::uint64_t>(args.get_int("job-mib", 16)) << 20;
+        static_cast<std::uint64_t>(int_flag(args, "job-mib", 16, 1)) << 20;
     traffic.arrivals.strip_bytes = base.workload.strip_size;
     traffic.arrivals.datasets =
-        static_cast<std::uint32_t>(args.get_int("datasets", 1));
+        static_cast<std::uint32_t>(int_flag(args, "datasets", 1, 1));
     traffic.arrivals.dataset_strips = std::max<std::uint64_t>(
-        1, (gib << 30) / base.workload.strip_size /
-               std::max(1u, traffic.arrivals.datasets));
+        1, (gib << 30) / base.workload.strip_size / traffic.arrivals.datasets);
     traffic.arrivals.seed = base.cluster.seed;
     traffic.trace_file = args.get("trace-file", "");
     traffic.replication =
-        static_cast<std::uint32_t>(args.get_int("replicas", 2));
-    const auto admission_mib =
-        static_cast<std::uint64_t>(args.get_int("admission-mib", 0));
+        static_cast<std::uint32_t>(int_flag(args, "replicas", 2, 1));
+    const auto admission_mib = static_cast<std::uint64_t>(
+        int_flag(args, "admission-mib", 0, 0, std::int64_t{1} << 30));
     traffic.admission.enabled = admission_mib > 0;
     traffic.admission.capacity_bytes = admission_mib << 20;
     traffic.fair_queue = args.get_bool("fair-queue", false);
     if (const std::string w = args.get("weights", ""); !w.empty()) {
       for (std::size_t pos = 0; pos < w.size();) {
         const std::size_t comma = std::min(w.find(',', pos), w.size());
-        traffic.weights.push_back(std::stod(w.substr(pos, comma - pos)));
+        traffic.weights.push_back(parse_real(
+            "weights", w.substr(pos, comma - pos), 0.0, false));
         pos = comma + 1;
       }
     }
@@ -419,26 +501,30 @@ int main(int argc, char** argv) {
         traffic.arrivals.tenants > 1 || !traffic.trace_file.empty() ||
         traffic.admission.enabled || traffic.fair_queue ||
         traffic.straggler.active();
+    // A job reads a contiguous run of one dataset's strips.
+    const std::uint64_t dataset_bytes =
+        traffic.arrivals.dataset_strips * base.workload.strip_size;
+    if (traffic_mode && traffic.arrivals.job_bytes > dataset_bytes) {
+      throw std::invalid_argument(
+          "--job-mib=" + std::to_string(traffic.arrivals.job_bytes >> 20) +
+          ": a job must fit in one dataset (" +
+          std::to_string(dataset_bytes >> 20) + " MiB)");
+    }
 
     // Telemetry plane flags (see header comment). The session id is minted
     // unconditionally: every run stamps its SLO/audit rows and traces so
     // artifacts join even when no telemetry output file was requested.
     const std::string metrics_path = args.get("metrics", "");
     const std::string metrics_prom_path = args.get("metrics-prom", "");
-    const auto metrics_period_ms = args.get_int("metrics-period-ms", 50);
-    if (metrics_period_ms <= 0) {
-      throw std::invalid_argument("--metrics-period-ms must be > 0");
-    }
+    const auto metrics_period_ms = int_flag(args, "metrics-period-ms", 50, 1);
     const bool spans_on = args.get_bool("spans", false);
     // --span-sample=N tracks 1-in-N requests (deterministic hash of the
     // span mint counter, so the subset is stable across --jobs); hop totals
     // then represent ~1/N of the traffic. Giving the flag implies --spans.
-    const auto span_sample = args.get_int("span-sample", 1);
-    if (span_sample < 1) {
-      throw std::invalid_argument("--span-sample must be >= 1");
-    }
+    const auto span_sample = int_flag(args, "span-sample", 1, 1);
     const std::string flight_path = args.get("flight-record", "");
-    const double slo_target_ms = args.get_double("slo-target-ms", 0.0);
+    const double slo_target_ms =
+        real_flag(args, "slo-target-ms", 0.0, 0.0, true);
     const std::string diag_path = args.get("diag", "");
     das::telemetry::PlaneConfig plane_cfg;
     plane_cfg.metrics = !metrics_path.empty() || !metrics_prom_path.empty();
@@ -447,8 +533,9 @@ int main(int argc, char** argv) {
     plane_cfg.span_sample = static_cast<std::uint32_t>(span_sample);
     plane_cfg.sample_period = das::sim::milliseconds(metrics_period_ms);
     plane_cfg.slo.target_s = slo_target_ms / 1000.0;
-    plane_cfg.slo.budget = args.get_double("slo-budget", 0.01);
-    plane_cfg.slo.window_s = args.get_double("slo-window-s", 1.0);
+    plane_cfg.slo.budget = real_flag(args, "slo-budget", 0.01, 0.0, false, 1.0);
+    plane_cfg.slo.window_s =
+        real_flag(args, "slo-window-s", 1.0, 0.0, false);
     plane_cfg.slo.max_tenants = traffic.arrivals.tenants;
     const bool plane_active = plane_cfg.metrics || plane_cfg.spans ||
                               plane_cfg.slo.target_s > 0.0;
@@ -540,7 +627,9 @@ int main(int argc, char** argv) {
         write_file(flight_path, plane->flight_json(session), "flight-record");
       }
       if (!diag_path.empty()) {
-        write_file(diag_path, diag_json(session, wall_seconds, report.events),
+        write_file(diag_path,
+                   diag_json(session, wall_seconds, report.events,
+                             process_start),
                    "diag");
       }
       return 0;
@@ -689,7 +778,8 @@ int main(int argc, char** argv) {
         wall += r.wall_seconds;
         events += r.sim_events;
       }
-      write_file(diag_path, diag_json(session, wall, events), "diag");
+      write_file(diag_path, diag_json(session, wall, events, process_start),
+                 "diag");
     }
     return 0;
   } catch (const std::exception& error) {
