@@ -175,6 +175,53 @@ TEST(PipelineTest, CorrectnessRowsArePinned) {
                  {"pipeline", false, 0, 0.0044153370000000001, 0, 10240}});
 }
 
+// Full rows for the statically placed schemes, two passes per stage,
+// recorded before the run paths shared one assembly. Stage rows and the
+// combined row carry no utilization; the note stays empty off DAS.
+TEST(PipelineTest, StaticSchemeRowsArePinned) {
+  struct PinnedRows {
+    Scheme scheme;
+    std::vector<std::string> csv;
+  };
+  const PinnedRows kSchemes[] = {
+      {Scheme::kTS,
+       {"TS,flow-routing,24576,4,4,0.0228859,104448,0,408,0,0,0,1.07385e+06,"
+        "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0",
+        "TS,flow-accumulation,24576,4,4,0.0228859,104448,0,408,0,0,0,"
+        "1.07385e+06,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
+        "0",
+        "TS,pipeline,24576,4,4,0.0457719,208896,0,816,0,0,0,536923,0,0,0,0,0,"
+        "0,0,0,0,0,0,0,0,0,0,4.438e-06,0.000102074,0.000115388,8.4438e-05,"
+        "8.8876e-05,8.8876e-05,0.000400348,0.000400348,0.000400348,5.42e-07,"
+        "6.51e-07,6.51e-07,0,0"}},
+      {Scheme::kNAS,
+       {"NAS,flow-routing,24576,4,4,0.0548663,0,193536,756,0,1,0,447925,0,0,"
+        "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0",
+        "NAS,flow-accumulation,24576,4,4,0.0548659,0,193536,756,0,1,0,447928,"
+        "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0",
+        "NAS,pipeline,24576,4,4,0.109732,0,387072,1512,0,1,0,223963,0,0,0,0,"
+        "0,0,0,0,0,0,0,0,0,0,0,4.438e-06,3.3285e-05,4.6599e-05,8.4438e-05,"
+        "8.8876e-05,8.8876e-05,3.48e-07,0.000400348,0.000400348,5.42e-07,"
+        "6.51e-07,6.51e-07,0,0"}},
+  };
+  for (const PinnedRows& pinned : kSchemes) {
+    SCOPED_TRACE(to_string(pinned.scheme));
+    SchemeRunOptions o = base_options(pinned.scheme);
+    o.workload.strip_size = 256;  // 64-cell rows, one per strip
+    o.workload.data_bytes = 96 * 256;
+    o.repeat_count = 2;
+    const auto reports = run_pipeline(o, kTerrainChain);
+    ASSERT_EQ(reports.size(), pinned.csv.size());
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+      SCOPED_TRACE("report " + std::to_string(i));
+      EXPECT_EQ(to_csv(reports[i]), pinned.csv[i]);
+      // Only the tile-exact routing stage is verified.
+      EXPECT_EQ(reports[i].output_verified, i == 0);
+      EXPECT_EQ(reports[i].decision_note, "");
+    }
+  }
+}
+
 TEST(PipelineDeathTest, EmptyChainAborts) {
   EXPECT_DEATH(run_pipeline(base_options(Scheme::kTS), {}), "DAS_REQUIRE");
 }

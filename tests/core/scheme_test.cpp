@@ -197,5 +197,82 @@ TEST(SchemeTimingTest, ReportRecordsTheConfiguration) {
   EXPECT_FALSE(r.output_verified);  // nothing to verify in timing mode
 }
 
+/// A small timing-mode sparse access: 64 rows of 1 MiB strips.
+ListRunOptions list_options(Scheme scheme, const std::string& access) {
+  const SchemeRunOptions t = timing_options(scheme, "flow-routing");
+  ListRunOptions o;
+  o.scheme = scheme;
+  o.workload = t.workload;
+  o.workload.data_bytes = 64ULL << 20;
+  o.access = AccessSpec::parse(access);
+  o.cluster = t.cluster;
+  return o;
+}
+
+/// One pinned run_list_scheme row: the full to_csv line and the note.
+struct PinnedListRow {
+  Scheme scheme;
+  const char* access;
+  bool whole_strips;
+  const char* csv;
+  const char* decision_note;
+};
+
+// The list pricing prices the sampled runs, never their whole-strip
+// expansion, so every strided:8 row carries the same note.
+constexpr const char* kStrided8Note =
+    "list 0.08s (25166200 wire B = 25165728 payload + 472 header, 31 runs -> "
+    "31 extents, coalesce 1.00x) vs offload 0.10s (full 67108864 B sweep + "
+    "6291456 halo B, 8388608 B returned): serve-normal";
+
+// Recorded before the run paths shared one assembly. TS serves the access
+// as list I/O (one read_regions per client, round-robin input); NAS and
+// DAS delegate to run_scheme and only take the list-aware note.
+TEST(ListSchemeTest, RowsArePinned) {
+  static const PinnedListRow kRows[] = {
+      {Scheme::kTS, "strided:8", false,
+       "TS,flow-routing,67108864,4,4,0.147108,25166872,0,0,0,0,0,4.56188e+08,"
+       "0.079339,0.185461,0,0.108763,0,0,0,0,0,0,0,0,0,0,0,1.0816e-05,"
+       "0.0654205,0.0799492,8.5408e-05,0.0364484,0.0364484,0.00182857,"
+       "0.00182857,0.00182857,0.0159999,0.0159999,0.0159999,0,0",
+       kStrided8Note},
+      {Scheme::kTS, "column", false,
+       "TS,flow-routing,67108864,4,4,0.00658072,2176,0,0,0,0,0,1.01978e+10,"
+       "0.972577,0.00170711,0,7.41561e-05,0,0,0,0,0,0,0,0,0,0,0,6.27e-07,"
+       "1.352e-05,1.6224e-05,8.5408e-05,8.5826e-05,8.5826e-05,0.000400016,"
+       "0.000400016,0.000400016,4.88e-07,4.88e-07,4.88e-07,0,0",
+       "list 0.00s (1504 wire B = 768 payload + 736 header, 64 runs -> 64 "
+       "extents, coalesce 1.00x) vs offload 0.08s (full 67108864 B sweep + "
+       "6291456 halo B, 256 B returned): serve-normal"},
+      {Scheme::kTS, "strided:8", true,
+       "TS,flow-routing,67108864,4,4,0.159718,32506984,0,0,0,0,0,4.20172e+08,"
+       "0.088728,0.220623,0,0.129395,0,0,0,0,0,0,0,0,0,0,0,1.3244e-05,"
+       "0.0726895,0.0872165,8.5408e-05,0.0364484,0.0364484,0.00182857,"
+       "0.00182857,0.00182857,0.0213333,0.0213333,0.0213333,0,0",
+       kStrided8Note},
+      {Scheme::kNAS, "strided:8", false,
+       "NAS,flow-routing,67108864,4,4,0.381772,0,132120576,128,0,1,0,"
+       "1.75782e+08,0.284238,0.750458,0.111759,0,0,0,0,0,0,0,0,0,0,0,0,"
+       "0.0227152,0.0590789,0.0805313,8.4438e-05,0.0182663,0.0182663,"
+       "0.00182857,0.00182857,0.00182857,0.00266667,0.00266667,0.00266667,0,0",
+       kStrided8Note},
+      {Scheme::kDAS, "strided:8", false,
+       "DAS,flow-routing,67108864,4,4,0.098139,0,6291456,2,0,1,0,6.83814e+08,"
+       "0.52069,0.13899,0.434757,0,0,0,0,0,0,0,0,0,0,0,0,0,0.00909313,"
+       "0.00909313,0.0182663,0.0182663,0.0182663,0.00142857,0.00182857,"
+       "0.00182857,0.0426667,0.0426667,0.0426667,0,0",
+       kStrided8Note},
+  };
+  for (const PinnedListRow& row : kRows) {
+    SCOPED_TRACE(std::string(to_string(row.scheme)) + " " + row.access +
+                 (row.whole_strips ? " whole_strips" : ""));
+    ListRunOptions o = list_options(row.scheme, row.access);
+    o.whole_strips = row.whole_strips;
+    const RunReport r = run_list_scheme(o);
+    EXPECT_EQ(to_csv(r), row.csv);
+    EXPECT_EQ(r.decision_note, row.decision_note);
+  }
+}
+
 }  // namespace
 }  // namespace das::core
