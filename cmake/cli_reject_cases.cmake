@@ -36,7 +36,11 @@ set(cases
   "--weights=abc --tenants=4"
   "--datasets=0 --tenants=4"
   "--arrival-rate=0 --tenants=4"
-  "--job-mib=2000 --tenants=4")
+  "--job-mib=2000 --tenants=4"
+  "--repeats=4 --access=strided:8"
+  "--pipeline=4 --access=strided:8"
+  "--pre-distributed=false --access=strided:8"
+  "--migrate=true --access=strided:8")
 
 set(failures "")
 foreach(case IN LISTS cases)

@@ -17,10 +17,6 @@ ActiveStorageClient::ActiveStorageClient(
       engine_(distribution, cluster.config().server_cache,
               cluster.config().prefetch, cluster.config().nic_bandwidth_bps) {}
 
-const ActiveExecutor* ActiveStorageClient::last_active_executor() const {
-  return last_active_;
-}
-
 HaloFetchTotals ActiveStorageClient::halo_totals() const {
   HaloFetchTotals totals;
   for (const auto& executor : active_executors_) totals += *executor;
@@ -97,43 +93,20 @@ SubmissionResult ActiveStorageClient::submit(const ActiveRequest& request,
   const std::uint64_t halo_strips =
       required_halo_strips(offsets, meta.element_size, meta.strip_size);
 
-  // Executors hold per-start state, so every repeat pass gets a fresh
-  // instance; passes run back to back, chained through their completions.
-  DAS_REQUIRE(request.repeat_count >= 1);
-  auto run_pass = std::make_shared<std::function<void(std::uint32_t)>>();
-  *run_pass = [this, input = request.input, output = result.output,
-               data_mode = request.data_mode, &kernel, halo_strips,
-               offload = result.offloaded, repeats = request.repeat_count,
-               on_done = std::move(on_done), run_pass](std::uint32_t pass) {
-    std::function<void()> pass_done;
-    if (pass + 1 < repeats) {
-      pass_done = [run_pass, pass]() { (*run_pass)(pass + 1); };
-    } else {
-      pass_done = [run_pass, on_done]() {
-        if (on_done) on_done();
-        *run_pass = nullptr;  // release the self-reference
-      };
-    }
+  auto launch = [this, input = request.input, output = result.output,
+                 &kernel, halo_strips, data_mode = request.data_mode,
+                 offload = result.offloaded, repeats = request.repeat_count,
+                 on_done = std::move(on_done)]() {
     if (offload) {
-      ActiveExecutor::Options opt;
-      opt.kernel = &kernel;
-      opt.halo_strips = halo_strips;
-      opt.data_mode = data_mode;
-      active_executors_.push_back(
-          std::make_unique<ActiveExecutor>(cluster_, opt));
-      last_active_ = active_executors_.back().get();
-      active_executors_.back()->start(input, output, std::move(pass_done));
+      run_passes(cluster_,
+                 ActiveExecutor::Options{&kernel, halo_strips, data_mode},
+                 input, output, repeats, active_executors_, on_done);
     } else {
-      TsExecutor::Options opt;
-      opt.kernel = &kernel;
-      opt.halo_strips = halo_strips;
-      opt.data_mode = data_mode;
-      ts_executors_.push_back(std::make_unique<TsExecutor>(cluster_, opt));
-      last_active_ = nullptr;
-      ts_executors_.back()->start(input, output, std::move(pass_done));
+      run_passes(cluster_, TsExecutor::Options{&kernel, halo_strips, data_mode},
+                 input, output, repeats, ts_executors_, on_done);
     }
+    last_offloaded_ = offload;
   };
-  auto launch = [run_pass]() { (*run_pass)(0); };
 
   // Fig. 3, first steps: fetch the file's distribution information from the
   // metadata service (one round trip, cached per client), then either move
@@ -141,17 +114,14 @@ SubmissionResult ActiveStorageClient::submit(const ActiveRequest& request,
   if (result.redistributed) {
     result.redistribution_bytes = result.decision.redistribution_bytes;
   }
-  auto continuation = std::make_shared<decltype(launch)>(std::move(launch));
   cluster_.metadata_cache(0).lookup(
       request.input,
-      [this, continuation, redistribute = result.redistributed,
-       input = request.input,
-       target = result.decision.target](pfs::FileInfo) {
+      [this, launch = std::move(launch), redistribute = result.redistributed,
+       input = request.input, target = result.decision.target](pfs::FileInfo) {
         if (redistribute) {
-          cluster_.pfs().redistribute(input, target->make_layout(),
-                                      [continuation]() { (*continuation)(); });
+          cluster_.pfs().redistribute(input, target->make_layout(), launch);
         } else {
-          (*continuation)();
+          launch();
         }
       });
   return result;

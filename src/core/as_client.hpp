@@ -13,6 +13,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/active_executor.hpp"
@@ -21,8 +23,37 @@
 #include "core/ts_executor.hpp"
 #include "kernels/catalog.hpp"
 #include "kernels/registry.hpp"
+#include "simkit/assert.hpp"
 
 namespace das::core {
+
+/// Run `repeats` back-to-back passes of one operation over `input`, each on
+/// a fresh executor appended to `executors` (executors hold per-start
+/// state, so instances cannot be restarted; `executors` must outlive the
+/// simulation). `after_pass` sees each executor as its pass completes;
+/// `on_done` fires after the last pass.
+template <typename Executor>
+void run_passes(Cluster& cluster, const typename Executor::Options& options,
+                pfs::FileId input, pfs::FileId output, std::uint32_t repeats,
+                std::vector<std::unique_ptr<Executor>>& executors,
+                std::function<void()> on_done,
+                std::type_identity_t<std::function<void(const Executor&)>>
+                    after_pass = nullptr) {
+  DAS_REQUIRE(repeats >= 1);
+  executors.push_back(std::make_unique<Executor>(cluster, options));
+  Executor& exec = *executors.back();
+  exec.start(input, output, [&cluster, &exec, &executors, options, input,
+                             output, repeats, on_done = std::move(on_done),
+                             after_pass = std::move(after_pass)]() {
+    if (after_pass) after_pass(exec);
+    if (repeats > 1) {
+      run_passes(cluster, options, input, output, repeats - 1, executors,
+                 on_done, after_pass);
+    } else if (on_done) {
+      on_done();
+    }
+  });
+}
 
 struct ActiveRequest {
   pfs::FileId input = pfs::kInvalidFile;
@@ -62,9 +93,12 @@ class ActiveStorageClient {
   SubmissionResult submit(const ActiveRequest& request,
                           std::function<void()> on_done);
 
-  /// The active executor of the most recent offloaded submission (for halo
-  /// fetch statistics); nullptr if the last request was served as normal.
-  [[nodiscard]] const ActiveExecutor* last_active_executor() const;
+  /// The active executor of the latest pass of the most recent submission
+  /// (for halo fetch statistics); nullptr if that request was served as
+  /// normal.
+  [[nodiscard]] const ActiveExecutor* last_active_executor() const {
+    return last_offloaded_ ? active_executors_.back().get() : nullptr;
+  }
 
   /// Halo-acquisition counters summed over every offloaded pass this client
   /// has run (all passes of all submissions) — the observed side of the
@@ -89,7 +123,7 @@ class ActiveStorageClient {
   std::vector<std::unique_ptr<ActiveExecutor>> active_executors_;
   std::vector<std::unique_ptr<TsExecutor>> ts_executors_;
   std::vector<kernels::KernelPtr> kernels_;
-  const ActiveExecutor* last_active_ = nullptr;
+  bool last_offloaded_ = false;
 };
 
 }  // namespace das::core

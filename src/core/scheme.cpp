@@ -50,18 +50,6 @@ std::unique_ptr<pfs::Layout> choose_input_layout(
   return std::make_unique<pfs::RoundRobinLayout>(servers);
 }
 
-RunReport make_base_report(const SchemeRunOptions& options,
-                           const std::string& kernel_name) {
-  RunReport report;
-  report.scheme = to_string(options.scheme);
-  report.kernel = kernel_name;
-  report.data_bytes = options.workload.data_bytes;
-  report.storage_nodes = options.cluster.storage_nodes;
-  report.compute_nodes = options.cluster.compute_nodes;
-  report.data_mode = options.workload.with_data;
-  return report;
-}
-
 /// Snapshot of the cache + prefetch counters, for per-stage attribution
 /// (hub totals are cumulative, so stage rows must diff around each stage).
 struct CacheSnapshot {
@@ -145,30 +133,6 @@ class MigrationDriver {
   std::uint32_t pass_ = 0;
 };
 
-/// Start `repeats` back-to-back passes of one operation. `start_pass` must
-/// launch a fresh executor and invoke its argument when the pass completes
-/// (executors hold per-start state, so instances cannot be restarted).
-void run_repeated(std::uint32_t repeats,
-                  std::function<void(std::function<void()>)> start_pass,
-                  std::function<void()> on_done) {
-  DAS_REQUIRE(repeats >= 1);
-  auto run = std::make_shared<std::function<void(std::uint32_t)>>();
-  *run = [run, repeats, start_pass = std::move(start_pass),
-          on_done = std::move(on_done)](std::uint32_t pass) {
-    std::function<void()> pass_done;
-    if (pass + 1 < repeats) {
-      pass_done = [run, pass]() { (*run)(pass + 1); };
-    } else {
-      pass_done = [run, on_done]() {
-        if (on_done) on_done();
-        *run = nullptr;  // release the self-reference
-      };
-    }
-    start_pass(std::move(pass_done));
-  };
-  (*run)(0);
-}
-
 void fill_traffic(RunReport& report, const net::Network& network,
                   const TrafficSnapshot& before) {
   const TrafficSnapshot after = TrafficSnapshot::take(network);
@@ -229,38 +193,281 @@ void fill_latency_breakdown(RunReport& report, Cluster& cluster) {
   report.compute_service = quantiles_of(compute);
 }
 
-/// Fill the predicted-vs-observed decision audit for a single-operator run.
-/// DAS predictions come from the decision the engine actually took; NAS
-/// (static offload) is audited against the model's forecast under the
-/// file's layout, so the same residuals are comparable across schemes.
-void fill_audit(RunReport& report, const SchemeRunOptions& options,
-                Cluster& cluster, const pfs::FileMeta& meta,
-                const std::vector<std::int64_t>& offsets,
-                const kernels::ProcessingKernel& kernel, pfs::FileId input,
-                const SubmissionResult& das_result,
-                const ActiveStorageClient* asc,
-                const std::vector<std::unique_ptr<ActiveExecutor>>&
-                    nas_execs) {
+/// Gather output file `output` and record how far it is from `reference`.
+void verify_against(RunReport& report, Cluster& cluster, pfs::FileId output,
+                    const WorkloadSpec& workload,
+                    const grid::Grid<float>& reference) {
+  const grid::Grid<float> produced = grid::from_bytes(
+      cluster.pfs().gather_bytes(output), workload.width(), workload.height());
+  report.output_max_error = grid::max_abs_diff(produced, reference);
+  report.output_verified = produced == reference;
+}
+
+/// Expand a region list to the whole strips it touches (adjacent strips
+/// merge into one run) — the pre-list-I/O fetch shape.
+pfs::RegionList expand_to_strips(const pfs::FileMeta& meta,
+                                 const pfs::RegionList& regions) {
+  std::vector<pfs::Run> runs;
+  std::uint64_t prev_strip = UINT64_MAX;
+  for (const pfs::StripRun& r : split_by_strip(meta, regions)) {
+    if (r.strip == prev_strip) continue;
+    prev_strip = r.strip;
+    const pfs::StripRef ref = meta.strip(r.strip);
+    if (!runs.empty() && runs.back().offset + runs.back().length == ref.offset) {
+      runs.back().length += ref.length;
+    } else {
+      runs.push_back(pfs::Run{ref.offset, ref.length});
+    }
+  }
+  return pfs::RegionList::from_runs(std::move(runs));
+}
+
+/// One simulated run, from the cluster to the report. It owns what every
+/// run path shares: the cluster; the input file and, in correctness mode,
+/// the host copy of its bytes; the executors and the Active Storage Client
+/// that run operations over it; the telemetry enrolment; the timed event
+/// loop; and the report fill.
+class RunAssembly {
+ public:
+  /// Build the cluster and create the input file for an operation of
+  /// `kernel_name`: the kernel generates its bytes in correctness mode and,
+  /// under DAS, the file is laid out around its dependence pattern.
+  RunAssembly(const SchemeRunOptions& options, const std::string& kernel_name)
+      : options_(options),
+        cluster_(options.cluster, options.context),
+        kernel_(registry_.create(kernel_name)),
+        meta_(options.workload.make_meta("input")),
+        offsets_(kernel_->features().resolve(meta_.raster_width)),
+        input_(create_input()),
+        asc_(cluster_, registry_, options.distribution) {}
+
+  [[nodiscard]] Cluster& cluster() { return cluster_; }
+  [[nodiscard]] const kernels::ProcessingKernel& kernel() const {
+    return *kernel_;
+  }
+  [[nodiscard]] const kernels::KernelRegistry& registry() const {
+    return registry_;
+  }
+  [[nodiscard]] pfs::FileId input() const { return input_; }
+  [[nodiscard]] const std::vector<std::int64_t>& offsets() const {
+    return offsets_;
+  }
+  [[nodiscard]] const std::optional<std::vector<std::byte>>& data() const {
+    return data_;
+  }
+
+  /// A report carrying the run's configuration and session id.
+  [[nodiscard]] RunReport base_report(const std::string& kernel_name) const {
+    RunReport report;
+    report.scheme = to_string(options_.scheme);
+    report.kernel = kernel_name;
+    report.data_bytes = options_.workload.data_bytes;
+    report.storage_nodes = options_.cluster.storage_nodes;
+    report.compute_nodes = options_.cluster.compute_nodes;
+    report.data_mode = options_.workload.with_data;
+    if (options_.context != nullptr) {
+      report.session_id = options_.context->session;
+    }
+    return report;
+  }
+
+  /// Enroll every component's counters with the run's telemetry plane, if
+  /// it has one, and start its sampler. Call before job.start is scheduled,
+  /// so the first sample already has the full column set.
+  void arm_telemetry(const pfs::LayoutMigrator* migrator = nullptr) {
+    if (plane_ == nullptr) return;
+    cluster_.network().enroll(plane_->registry());
+    for (pfs::ServerIndex s = 0; s < cluster_.pfs().num_servers(); ++s) {
+      cluster_.pfs().server(s).enroll(plane_->registry());
+    }
+    for (std::uint32_t c = 0; c < options_.cluster.compute_nodes; ++c) {
+      cluster_.client(c).enroll(plane_->registry());
+    }
+    if (migrator != nullptr) migrator->enroll(plane_->registry());
+    plane_->start(cluster_.simulator());
+  }
+
+  /// Start one operation of `kernel` over `input` now, recording in
+  /// `report` what its start decided. DAS submits through the Active
+  /// Storage Client (Fig. 3: lookup, decide, redistribute, execute); TS and
+  /// NAS create the output under the input's layout and run their static
+  /// passes, after a metadata lookup when the operation stands alone (a
+  /// pipeline stage already holds its input's metadata). `on_done` fires
+  /// when the last pass completes.
+  SubmissionResult start_operation(const kernels::ProcessingKernel& kernel,
+                                   pfs::FileId input,
+                                   std::uint32_t pipeline_length,
+                                   bool standalone, RunReport& report,
+                                   std::function<void()> on_done,
+                                   MigrationDriver* migration = nullptr);
+
+  /// Run the event loop to completion, timing it on the host clock.
+  void run() {
+    const auto start = std::chrono::steady_clock::now();
+    cluster_.simulator().run();
+    wall_seconds_ = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+    if (plane_ != nullptr) plane_->finish(cluster_.simulator().now());
+  }
+
+  /// Fill what the run measured as a whole: exec seconds up to `finish`,
+  /// host wall time, events, spans, cache counters and latency quantiles.
+  void fill_run(RunReport& report, sim::SimTime finish) {
+    report.exec_seconds = sim::to_seconds(finish);
+    report.wall_seconds = wall_seconds_;
+    // Sampler ticks are observational scaffolding, not workload events;
+    // netting them out keeps the event count identical with telemetry
+    // on/off.
+    report.sim_events = cluster_.simulator().events_delivered() -
+                        (plane_ != nullptr ? plane_->sampler_ticks() : 0);
+    if (plane_ != nullptr) {
+      report.spans_finished = plane_->spans().spans_finished();
+      for (std::size_t h = 0; h < telemetry::kNumHops; ++h) {
+        report.span_hop_seconds[h] = sim::to_seconds(
+            plane_->spans().hop_total(static_cast<telemetry::Hop>(h)));
+      }
+    }
+    fill_cache_stats(report, cluster_);
+    fill_latency_breakdown(report, cluster_);
+  }
+
+  /// fill_run, plus the traffic and utilization a single operation owns
+  /// over the whole run.
+  void fill_operation(RunReport& report, sim::SimTime finish) {
+    fill_run(report, finish);
+    fill_traffic(report, cluster_.network(), TrafficSnapshot{});
+    fill_utilization(report, cluster_, finish);
+  }
+
+  /// Fill the predicted-vs-observed decision audit for a single-operator
+  /// run. DAS predictions come from the decision the engine actually took;
+  /// NAS (static offload) is audited against the model's forecast under the
+  /// file's layout, so the same residuals are comparable across schemes.
+  void fill_audit(RunReport& report, const kernels::ProcessingKernel& kernel,
+                  const SubmissionResult& das_result);
+
+  /// Verify `output` against the sequential reference, computed from the
+  /// host copy of the input bytes (the PFS holds its own copy, so the
+  /// reference never reads it). Verification is the copy's last reader, so
+  /// it is released before the output is gathered: one raster fewer is
+  /// resident at the run's peak.
+  void verify(RunReport& report, pfs::FileId output,
+              const kernels::ProcessingKernel& kernel) {
+    const WorkloadSpec& workload = options_.workload;
+    if (!workload.with_data) return;
+    DAS_REQUIRE(data_ && "correctness mode keeps its input copy");
+    if (output == pfs::kInvalidFile || !kernel.tile_exact()) return;
+    const grid::Grid<float> reference = kernel.run_reference(
+        grid::from_bytes(*data_, workload.width(), workload.height()));
+    data_.reset();
+    verify_against(report, cluster_, output, workload, reference);
+  }
+
+ private:
+  pfs::FileId create_input() {
+    if (options_.workload.with_data) {
+      data_ = grid::to_bytes(make_input(options_.workload, *kernel_));
+    }
+    return cluster_.pfs().create_file(
+        meta_, choose_input_layout(options_, meta_, offsets_),
+        data_ ? &*data_ : nullptr);
+  }
+
+  const SchemeRunOptions& options_;
+  const kernels::KernelRegistry registry_ = kernels::standard_registry();
+  Cluster cluster_;
+  const kernels::KernelPtr kernel_;
+  telemetry::Plane* plane_ =
+      options_.context != nullptr ? options_.context->telemetry : nullptr;
+  const pfs::FileMeta meta_;
+  const std::vector<std::int64_t> offsets_;
+  std::optional<std::vector<std::byte>> data_;
+  const pfs::FileId input_;
+  ActiveStorageClient asc_;
+  // Static-scheme executors, one per pass; alive until the run ends.
+  std::vector<std::unique_ptr<TsExecutor>> ts_execs_;
+  std::vector<std::unique_ptr<ActiveExecutor>> active_execs_;
+  double wall_seconds_ = 0.0;
+};
+
+SubmissionResult RunAssembly::start_operation(
+    const kernels::ProcessingKernel& kernel, pfs::FileId input,
+    std::uint32_t pipeline_length, bool standalone, RunReport& report,
+    std::function<void()> on_done, MigrationDriver* migration) {
+  SubmissionResult result;
+  if (options_.scheme == Scheme::kDAS) {
+    ActiveRequest request;
+    request.input = input;
+    request.kernel_name = kernel.name();
+    request.pipeline_length = pipeline_length;
+    request.repeat_count = options_.repeat_count;
+    request.data_mode = options_.workload.with_data;
+    result = asc_.submit(request, std::move(on_done));
+  } else {
+    const pfs::FileMeta in_meta = cluster_.pfs().meta(input);
+    if (!kernel.is_reduction()) {
+      pfs::FileMeta out_meta = in_meta;
+      out_meta.name = in_meta.name + "." + kernel.name();
+      result.output = cluster_.pfs().create_file(
+          std::move(out_meta), cluster_.pfs().layout(input).clone(), nullptr);
+    }
+    result.offloaded = options_.scheme == Scheme::kNAS;
+    const std::uint64_t halo = required_halo_strips(
+        kernel.features().resolve(in_meta.raster_width),
+        in_meta.element_size, in_meta.strip_size);
+    auto passes = [this, &kernel, input, output = result.output, halo,
+                   offloaded = result.offloaded, migration,
+                   on_done = std::move(on_done)]() {
+      const bool data_mode = options_.workload.with_data;
+      if (offloaded) {
+        run_passes(cluster_, ActiveExecutor::Options{&kernel, halo, data_mode},
+                   input, output, options_.repeat_count, active_execs_,
+                   on_done, [migration](const ActiveExecutor& exec) {
+                     if (migration != nullptr) migration->on_pass_done(exec);
+                   });
+      } else {
+        run_passes(cluster_, TsExecutor::Options{&kernel, halo, data_mode},
+                   input, output, options_.repeat_count, ts_execs_, on_done);
+      }
+    };
+    if (standalone) {
+      cluster_.metadata_cache(0).lookup(
+          input, [passes = std::move(passes)](pfs::FileInfo) { passes(); });
+    } else {
+      passes();
+    }
+  }
+  report.offloaded = result.offloaded;
+  report.redistributed = result.redistributed;
+  report.redistribution_bytes = result.redistribution_bytes;
+  report.decision_note = result.decision.rationale;
+  return result;
+}
+
+void RunAssembly::fill_audit(RunReport& report,
+                             const kernels::ProcessingKernel& kernel,
+                             const SubmissionResult& das_result) {
   DecisionAudit& audit = report.audit;
   audit.valid = true;
-  audit.repeats = options.repeat_count;
-  const cache::CacheConfig& cache = options.cluster.server_cache;
-  const pfs::PrefetchConfig& prefetch_cfg = options.cluster.prefetch;
+  audit.repeats = options_.repeat_count;
+  const cache::CacheConfig& cache = options_.cluster.server_cache;
+  const pfs::PrefetchConfig& prefetch_cfg = options_.cluster.prefetch;
   audit.cache_capacity_bytes = cache.active() ? cache.capacity_bytes : 0;
   audit.prefetch_depth = prefetch_cfg.active() ? prefetch_cfg.depth : 0;
   const bool prefetching = cache.active() && prefetch_cfg.active();
 
   // Predicted side.
-  switch (options.scheme) {
+  switch (options_.scheme) {
     case Scheme::kTS:
       audit.action = "static-normal";
       break;
     case Scheme::kNAS: {
       audit.action = "static-offload";
       const PlacementSpec placement =
-          PlacementSpec::from_layout(cluster.pfs().layout(input));
+          PlacementSpec::from_layout(cluster_.pfs().layout(input_));
       const TrafficForecast forecast = forecast_traffic(
-          meta, offsets, placement, kernel.output_bytes(meta.size_bytes));
+          meta_, offsets_, placement, kernel.output_bytes(meta_.size_bytes));
       audit.predicted_halo_bytes = forecast.active_strip_fetch_bytes;
       if (cache.active()) {
         audit.predicted_cache_hit_rate = predicted_cache_hit_rate(
@@ -292,11 +499,9 @@ void fill_audit(RunReport& report, const SchemeRunOptions& options,
   // Observed side. Halo acquisitions = network fetches + cache hits +
   // demand waiters coalesced onto in-flight fetches, averaged per pass.
   HaloFetchTotals totals;
-  if (options.scheme == Scheme::kDAS && asc != nullptr) {
-    totals = asc->halo_totals();
-  }
-  for (const auto& exec : nas_execs) totals += *exec;
-  const pfs::PrefetchStats prefetch = cluster.pfs().prefetch_stats();
+  if (options_.scheme == Scheme::kDAS) totals = asc_.halo_totals();
+  for (const auto& exec : active_execs_) totals += *exec;
+  const pfs::PrefetchStats prefetch = cluster_.pfs().prefetch_stats();
   audit.observed_halo_bytes =
       static_cast<double>(totals.bytes_fetched + totals.cache_hit_bytes +
                           prefetch.coalesced_bytes) /
@@ -330,246 +535,41 @@ void fill_audit(RunReport& report, const SchemeRunOptions& options,
           : 0.0;
 }
 
-/// Gather output file `output` and record how far it is from `reference`.
-void verify_against(RunReport& report, Cluster& cluster, pfs::FileId output,
-                    const WorkloadSpec& workload,
-                    const grid::Grid<float>& reference) {
-  const grid::Grid<float> produced = grid::from_bytes(
-      cluster.pfs().gather_bytes(output), workload.width(), workload.height());
-  report.output_max_error = grid::max_abs_diff(produced, reference);
-  report.output_verified = produced == reference;
-}
-
-/// Verify a produced output file against the sequential reference, computed
-/// from `input`: the host copy of the input bytes the run created its input
-/// file from. The PFS holds its own copy, so the reference never reads it.
-void verify_output(RunReport& report, Cluster& cluster, pfs::FileId output,
-                   const WorkloadSpec& workload,
-                   const kernels::ProcessingKernel& kernel,
-                   const std::vector<std::byte>* input) {
-  if (!workload.with_data) return;
-  DAS_REQUIRE(input != nullptr && "correctness mode keeps its input copy");
-  if (output == pfs::kInvalidFile || !kernel.tile_exact()) return;
-  const grid::Grid<float> reference = kernel.run_reference(
-      grid::from_bytes(*input, workload.width(), workload.height()));
-  verify_against(report, cluster, output, workload, reference);
-}
-
-/// Expand a region list to the whole strips it touches (adjacent strips
-/// merge into one run) — the pre-list-I/O fetch shape.
-pfs::RegionList expand_to_strips(const pfs::FileMeta& meta,
-                                 const pfs::RegionList& regions) {
-  std::vector<pfs::Run> runs;
-  std::uint64_t prev_strip = UINT64_MAX;
-  for (const pfs::StripRun& r : split_by_strip(meta, regions)) {
-    if (r.strip == prev_strip) continue;
-    prev_strip = r.strip;
-    const pfs::StripRef ref = meta.strip(r.strip);
-    if (!runs.empty() && runs.back().offset + runs.back().length == ref.offset) {
-      runs.back().length += ref.length;
-    } else {
-      runs.push_back(pfs::Run{ref.offset, ref.length});
-    }
-  }
-  return pfs::RegionList::from_runs(std::move(runs));
-}
-
 }  // namespace
 
 RunReport run_scheme(const SchemeRunOptions& options) {
-  Cluster cluster(options.cluster, options.context);
-  const kernels::KernelRegistry registry = kernels::standard_registry();
-  const kernels::KernelPtr kernel =
-      registry.create(options.workload.kernel_name);
-  const WorkloadSpec& workload = options.workload;
-
-  pfs::FileMeta meta = workload.make_meta("input");
-  const auto offsets = kernel->features().resolve(meta.raster_width);
-  const std::uint64_t halo_strips =
-      required_halo_strips(offsets, meta.element_size, meta.strip_size);
-
-  std::optional<std::vector<std::byte>> data;
-  if (workload.with_data) {
-    data = grid::to_bytes(make_input(workload, *kernel));
-  }
-
-  const pfs::FileId input = cluster.pfs().create_file(
-      meta, choose_input_layout(options, meta, offsets),
-      data ? &*data : nullptr);
-
-  RunReport report = make_base_report(options, kernel->name());
-  const TrafficSnapshot before = TrafficSnapshot::take(cluster.network());
-
-  sim::SimTime finish = -1;
-  auto on_done = [&cluster, &finish]() { finish = cluster.simulator().now(); };
-
-  std::vector<std::unique_ptr<TsExecutor>> ts_execs;
-  std::vector<std::unique_ptr<ActiveExecutor>> active_execs;
-  std::unique_ptr<ActiveStorageClient> asc;
+  RunAssembly run(options, options.workload.kernel_name);
+  const kernels::ProcessingKernel& kernel = run.kernel();
   std::unique_ptr<MigrationDriver> migration;
   if (options.migration.active() && options.scheme == Scheme::kNAS) {
     migration = std::make_unique<MigrationDriver>(
-        cluster, options.migration, options.distribution, input, offsets,
-        options.repeat_count);
+        run.cluster(), options.migration, options.distribution, run.input(),
+        run.offsets(), options.repeat_count);
   }
-  pfs::FileId output = pfs::kInvalidFile;
-  SubmissionResult das_result;
-  const std::uint32_t repeats = options.repeat_count;
+  run.arm_telemetry(migration != nullptr ? &migration->migrator() : nullptr);
 
-  // Enroll every component's counters with the telemetry plane before any
-  // event runs, so the first sample already has the full column set.
-  telemetry::Plane* plane =
-      options.context != nullptr ? options.context->telemetry : nullptr;
-  if (plane != nullptr) {
-    cluster.network().enroll(plane->registry());
-    for (pfs::ServerIndex s = 0; s < cluster.pfs().num_servers(); ++s) {
-      cluster.pfs().server(s).enroll(plane->registry());
-    }
-    for (std::uint32_t c = 0; c < options.cluster.compute_nodes; ++c) {
-      cluster.client(c).enroll(plane->registry());
-    }
-    if (migration != nullptr) {
-      migration->migrator().enroll(plane->registry());
-    }
-    plane->start(cluster.simulator());
-  }
-
-  switch (options.scheme) {
-    case Scheme::kTS: {
-      if (!kernel->is_reduction()) {
-        pfs::FileMeta out_meta = meta;
-        out_meta.name = "output";
-        output = cluster.pfs().create_file(
-            std::move(out_meta),
-            std::make_unique<pfs::RoundRobinLayout>(
-                options.cluster.storage_nodes),
-            nullptr);
-      }
-      TsExecutor::Options opt{kernel.get(), halo_strips, workload.with_data};
-      cluster.simulator().schedule_at(
-          options.cluster.job_startup,
-          [&cluster, &ts_execs, opt, input, output, on_done, repeats]() {
-            cluster.metadata_cache(0).lookup(
-                input, [&cluster, &ts_execs, opt, input, output, on_done,
-                        repeats](pfs::FileInfo) {
-                  run_repeated(
-                      repeats,
-                      [&cluster, &ts_execs, opt, input,
-                       output](std::function<void()> pass_done) {
-                        ts_execs.push_back(
-                            std::make_unique<TsExecutor>(cluster, opt));
-                        ts_execs.back()->start(input, output,
-                                               std::move(pass_done));
-                      },
-                      on_done);
-                });
-          },
-          "job.start");
-      break;
-    }
-    case Scheme::kNAS: {
-      if (!kernel->is_reduction()) {
-        pfs::FileMeta out_meta = meta;
-        out_meta.name = "output";
-        output = cluster.pfs().create_file(
-            std::move(out_meta), cluster.pfs().layout(input).clone(),
-            nullptr);
-      }
-      ActiveExecutor::Options opt{kernel.get(), halo_strips,
-                                  workload.with_data};
-      cluster.simulator().schedule_at(
-          options.cluster.job_startup,
-          [&cluster, &active_execs, opt, input, output, on_done, repeats,
-           mig = migration.get()]() {
-            cluster.metadata_cache(0).lookup(
-                input, [&cluster, &active_execs, opt, input, output, on_done,
-                        repeats, mig](pfs::FileInfo) {
-                  run_repeated(
-                      repeats,
-                      [&cluster, &active_execs, opt, input, output,
-                       mig](std::function<void()> pass_done) {
-                        active_execs.push_back(
-                            std::make_unique<ActiveExecutor>(cluster, opt));
-                        ActiveExecutor* exec = active_execs.back().get();
-                        if (mig != nullptr) {
-                          pass_done = [mig, exec,
-                                       pass_done = std::move(pass_done)]() {
-                            mig->on_pass_done(*exec);
-                            pass_done();
-                          };
-                        }
-                        exec->start(input, output, std::move(pass_done));
-                      },
-                      on_done);
-                });
-          },
-          "job.start");
-      report.offloaded = true;
-      break;
-    }
-    case Scheme::kDAS: {
-      asc = std::make_unique<ActiveStorageClient>(cluster, registry,
-                                                  options.distribution);
-      cluster.simulator().schedule_at(
-          options.cluster.job_startup,
-          [&asc, &das_result, &workload, input, on_done,
-           pipeline = options.pipeline_length, repeats]() {
-            ActiveRequest request;
-            request.input = input;
-            request.kernel_name = workload.kernel_name;
-            request.pipeline_length = pipeline;
-            request.repeat_count = repeats;
-            request.data_mode = workload.with_data;
-            das_result = asc->submit(request, on_done);
-          },
-          "job.start");
-      break;
-    }
-  }
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  cluster.simulator().run();
-  const auto wall_end = std::chrono::steady_clock::now();
+  RunReport report = run.base_report(kernel.name());
+  SubmissionResult result;
+  sim::SimTime finish = -1;
+  run.cluster().simulator().schedule_at(
+      options.cluster.job_startup,
+      [&]() {
+        result = run.start_operation(
+            kernel, run.input(), options.pipeline_length, true, report,
+            [&]() { finish = run.cluster().simulator().now(); },
+            migration.get());
+      },
+      "job.start");
+  run.run();
   DAS_REQUIRE(finish >= 0 && "scheme run did not complete");
-  if (plane != nullptr) plane->finish(cluster.simulator().now());
 
-  report.exec_seconds = sim::to_seconds(finish);
-  report.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  // Sampler ticks are observational scaffolding, not workload events; netting
-  // them out keeps the reported event count identical with telemetry on/off.
-  report.sim_events =
-      cluster.simulator().events_delivered() -
-      (plane != nullptr ? plane->sampler_ticks() : 0);
-  if (options.context != nullptr) report.session_id = options.context->session;
-  if (plane != nullptr) {
-    report.spans_finished = plane->spans().spans_finished();
-    for (std::size_t h = 0; h < telemetry::kNumHops; ++h) {
-      report.span_hop_seconds[h] = sim::to_seconds(
-          plane->spans().hop_total(static_cast<telemetry::Hop>(h)));
-    }
-  }
-  fill_traffic(report, cluster.network(), before);
-  fill_utilization(report, cluster, finish);
-  fill_cache_stats(report, cluster);
-  fill_latency_breakdown(report, cluster);
-
-  if (options.scheme == Scheme::kDAS) {
-    output = das_result.output;
-    report.offloaded = das_result.offloaded;
-    report.redistributed = das_result.redistributed;
-    report.redistribution_bytes = das_result.redistribution_bytes;
-    report.decision_note = das_result.decision.rationale;
-  }
+  run.fill_operation(report, finish);
   if (migration != nullptr) {
     report.migrations = migration->migrator().total_migrations();
     report.migration_bytes = migration->migrator().total_bytes_moved();
   }
-  fill_audit(report, options, cluster, meta, offsets, *kernel, input,
-             das_result, asc.get(), active_execs);
-
-  verify_output(report, cluster, output, workload, *kernel,
-                data ? &*data : nullptr);
+  run.fill_audit(report, kernel, result);
+  run.verify(report, result.output, kernel);
   return report;
 }
 
@@ -577,31 +577,18 @@ std::vector<RunReport> run_pipeline(
     const SchemeRunOptions& options,
     const std::vector<std::string>& kernel_chain) {
   DAS_REQUIRE(!kernel_chain.empty());
-  Cluster cluster(options.cluster, options.context);
-  const kernels::KernelRegistry registry = kernels::standard_registry();
+  RunAssembly run(options, kernel_chain.front());
   const WorkloadSpec& workload = options.workload;
 
   std::vector<kernels::KernelPtr> chain;
   chain.reserve(kernel_chain.size());
   for (std::size_t i = 0; i < kernel_chain.size(); ++i) {
-    chain.push_back(registry.create(kernel_chain[i]));
+    chain.push_back(run.registry().create(kernel_chain[i]));
     // A reduction has no raster output to feed a successor.
     DAS_REQUIRE(!chain.back()->is_reduction() ||
                 i + 1 == kernel_chain.size());
   }
 
-  pfs::FileMeta meta = workload.make_meta("input");
-  const auto offsets0 = chain.front()->features().resolve(meta.raster_width);
-
-  std::optional<std::vector<std::byte>> data;
-  if (workload.with_data) {
-    data = grid::to_bytes(make_input(workload, *chain.front()));
-  }
-  const pfs::FileId input = cluster.pfs().create_file(
-      meta, choose_input_layout(options, meta, offsets0),
-      data ? &*data : nullptr);
-
-  // Shared pipeline state driven by completion callbacks.
   struct Stage {
     RunReport report;
     pfs::FileId output = pfs::kInvalidFile;
@@ -609,114 +596,58 @@ std::vector<RunReport> run_pipeline(
     TrafficSnapshot before;
     CacheSnapshot cache_before;
   };
-  auto stages = std::make_shared<std::vector<Stage>>(kernel_chain.size());
-  for (std::size_t i = 0; i < kernel_chain.size(); ++i) {
-    (*stages)[i].report = make_base_report(options, kernel_chain[i]);
+  std::vector<Stage> stages(kernel_chain.size());
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    stages[i].report = run.base_report(kernel_chain[i]);
   }
+  run.arm_telemetry();
 
-  auto asc = std::make_unique<ActiveStorageClient>(cluster, registry,
-                                                   options.distribution);
-  auto ts_execs = std::make_shared<std::vector<std::unique_ptr<TsExecutor>>>();
-  auto active_execs =
-      std::make_shared<std::vector<std::unique_ptr<ActiveExecutor>>>();
-
-  // Recursive stage launcher. Callbacks hold a raw pointer: the function
-  // object outlives the simulation run because `launch` stays in scope.
-  auto launch = std::make_shared<std::function<void(std::size_t, pfs::FileId)>>();
-  auto* launch_raw = launch.get();
-  *launch = [&, stages, ts_execs, active_execs, launch_raw](std::size_t i,
-                                                            pfs::FileId in) {
-    Stage& stage = (*stages)[i];
-    stage.before = TrafficSnapshot::take(cluster.network());
-    stage.cache_before = CacheSnapshot::take(cluster);
-    const kernels::ProcessingKernel& kernel = *chain[i];
-    const pfs::FileMeta in_meta = cluster.pfs().meta(in);
-    const auto offs = kernel.features().resolve(in_meta.raster_width);
-    const std::uint64_t halo = required_halo_strips(
-        offs, in_meta.element_size, in_meta.strip_size);
-
-    auto stage_done = [&, stages, launch_raw, i]() {
-      Stage& st = (*stages)[i];
-      st.finish = cluster.simulator().now();
-      fill_traffic(st.report, cluster.network(), st.before);
-      // True per-stage deltas: the hub counters are cumulative, so without
-      // the diff stage N's row would include hits earned by stages 1..N-1.
-      fill_cache_stats(st.report, cluster, st.cache_before);
-      st.report.exec_seconds =
-          sim::to_seconds(st.finish) -
-          (i == 0 ? sim::to_seconds(options.cluster.job_startup)
-                  : sim::to_seconds((*stages)[i - 1].finish));
-      if (i + 1 < stages->size()) (*launch_raw)(i + 1, st.output);
-    };
-
-    if (options.scheme == Scheme::kDAS) {
-      ActiveRequest request;
-      request.input = in;
-      request.kernel_name = kernel.name();
-      request.pipeline_length =
-          static_cast<std::uint32_t>(stages->size() - i);
-      request.repeat_count = options.repeat_count;
-      request.data_mode = workload.with_data;
-      const SubmissionResult r = asc->submit(request, stage_done);
-      stage.output = r.output;
-      stage.report.offloaded = r.offloaded;
-      stage.report.redistributed = r.redistributed;
-      stage.report.redistribution_bytes = r.redistribution_bytes;
-      stage.report.decision_note = r.decision.rationale;
-    } else {
-      if (!kernel.is_reduction()) {
-        pfs::FileMeta out_meta = in_meta;
-        out_meta.name = in_meta.name + "." + kernel.name();
-        stage.output = cluster.pfs().create_file(
-            std::move(out_meta), cluster.pfs().layout(in).clone(), nullptr);
-      }
-      if (options.scheme == Scheme::kNAS) {
-        ActiveExecutor::Options opt{&kernel, halo, workload.with_data};
-        run_repeated(
-            options.repeat_count,
-            [&cluster, active_execs, opt, in,
-             out = stage.output](std::function<void()> pass_done) {
-              active_execs->push_back(
-                  std::make_unique<ActiveExecutor>(cluster, opt));
-              active_execs->back()->start(in, out, std::move(pass_done));
-            },
-            stage_done);
-        stage.report.offloaded = true;
-      } else {
-        TsExecutor::Options opt{&kernel, halo, workload.with_data};
-        run_repeated(
-            options.repeat_count,
-            [&cluster, ts_execs, opt, in,
-             out = stage.output](std::function<void()> pass_done) {
-              ts_execs->push_back(
-                  std::make_unique<TsExecutor>(cluster, opt));
-              ts_execs->back()->start(in, out, std::move(pass_done));
-            },
-            stage_done);
-      }
-    }
-  };
-
+  // Stage i starts on stage i-1's output the moment stage i-1 completes.
+  Cluster& cluster = run.cluster();
+  std::function<void(std::size_t, pfs::FileId)> launch =
+      [&](std::size_t i, pfs::FileId in) {
+        Stage& stage = stages[i];
+        stage.before = TrafficSnapshot::take(cluster.network());
+        stage.cache_before = CacheSnapshot::take(cluster);
+        auto stage_done = [&, i]() {
+          Stage& st = stages[i];
+          st.finish = cluster.simulator().now();
+          fill_traffic(st.report, cluster.network(), st.before);
+          // True per-stage deltas: the hub counters are cumulative, so
+          // without the diff stage N's row would include hits earned by
+          // stages 1..N-1.
+          fill_cache_stats(st.report, cluster, st.cache_before);
+          st.report.exec_seconds =
+              sim::to_seconds(st.finish) -
+              (i == 0 ? sim::to_seconds(options.cluster.job_startup)
+                      : sim::to_seconds(stages[i - 1].finish));
+          if (i + 1 < stages.size()) launch(i + 1, st.output);
+        };
+        stage.output =
+            run.start_operation(*chain[i], in,
+                                static_cast<std::uint32_t>(stages.size() - i),
+                                false, stage.report, stage_done)
+                .output;
+      };
   cluster.simulator().schedule_at(
-      options.cluster.job_startup,
-      [launch, input]() { (*launch)(0, input); }, "pipeline.start");
-  const auto wall_start = std::chrono::steady_clock::now();
-  cluster.simulator().run();
-  const auto wall_end = std::chrono::steady_clock::now();
+      options.cluster.job_startup, [&]() { launch(0, run.input()); },
+      "pipeline.start");
+  run.run();
 
   std::vector<RunReport> reports;
-  RunReport combined = make_base_report(options, "pipeline");
+  RunReport combined = run.base_report("pipeline");
   // Stage-wise verification chains the references from the retained input
   // copy: stage i is checked against kernel_i applied to the reference
   // output of stage i-1, and only while every stage so far was tile-exact
   // (a non-exact stage's output legitimately diverges from the reference
   // downstream, so the chain stops there).
   std::optional<grid::Grid<float>> reference;
-  if (data) {
-    reference = grid::from_bytes(*data, workload.width(), workload.height());
+  if (run.data()) {
+    reference =
+        grid::from_bytes(*run.data(), workload.width(), workload.height());
   }
-  for (std::size_t i = 0; i < stages->size(); ++i) {
-    Stage& stage = (*stages)[i];
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    Stage& stage = stages[i];
     DAS_REQUIRE(stage.finish >= 0 && "pipeline stage did not complete");
     if (reference && !chain[i]->is_reduction()) {
       if (chain[i]->tile_exact()) {
@@ -736,27 +667,17 @@ std::vector<RunReport> run_pipeline(
         combined.redistributed || stage.report.redistributed;
     reports.push_back(stage.report);
   }
-  combined.exec_seconds = sim::to_seconds(stages->back().finish);
-  combined.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  combined.sim_events = cluster.simulator().events_delivered();
-  fill_cache_stats(combined, cluster);
-  fill_latency_breakdown(combined, cluster);
+  run.fill_run(combined, stages.back().finish);
   reports.push_back(combined);
-  if (options.context != nullptr) {
-    for (RunReport& r : reports) r.session_id = options.context->session;
-  }
   return reports;
 }
 
 RunReport run_list_scheme(const ListRunOptions& options) {
   DAS_REQUIRE(options.access.active());
-  const kernels::KernelRegistry registry = kernels::standard_registry();
   const kernels::KernelPtr kernel =
-      registry.create(options.workload.kernel_name);
-  const WorkloadSpec& workload = options.workload;
+      kernels::standard_registry().create(options.workload.kernel_name);
 
-  pfs::FileMeta meta = workload.make_meta("input");
+  pfs::FileMeta meta = options.workload.make_meta("input");
   const auto offsets = kernel->features().resolve(meta.raster_width);
   const pfs::RegionList list_regions = build_access_regions(
       meta, options.access, halo_rows_for(meta, offsets));
@@ -774,87 +695,53 @@ RunReport run_list_scheme(const ListRunOptions& options) {
       access_output_bytes(meta, options.access,
                           halo_rows_for(meta, offsets), full_output));
 
+  SchemeRunOptions classic;
+  classic.scheme = options.scheme;
+  classic.workload = options.workload;
+  classic.cluster = options.cluster;
+  classic.distribution = options.distribution;
+  classic.context = options.context;
   if (options.scheme != Scheme::kTS) {
     // Offloaded service: active storage runs the full sweep the classic
     // runner already models; only the decision note changes.
-    SchemeRunOptions classic;
-    classic.scheme = options.scheme;
-    classic.workload = options.workload;
-    classic.cluster = options.cluster;
-    classic.distribution = options.distribution;
-    classic.context = options.context;
     RunReport report = run_scheme(classic);
     report.decision_note = decision.rationale;
     return report;
   }
 
-  Cluster cluster(options.cluster, options.context);
+  RunAssembly run(classic, options.workload.kernel_name);  // round-robin input
+  Cluster& cluster = run.cluster();
   const pfs::RegionList regions =
       options.whole_strips ? expand_to_strips(meta, list_regions)
                            : list_regions;
-
-  std::optional<std::vector<std::byte>> data;
-  if (workload.with_data) {
-    data = grid::to_bytes(make_input(workload, *kernel));
-  }
-  const pfs::FileId input = cluster.pfs().create_file(
-      meta,
-      std::make_unique<pfs::RoundRobinLayout>(options.cluster.storage_nodes),
-      data ? &*data : nullptr);
-
-  RunReport report;
-  report.scheme = to_string(options.scheme);
-  report.kernel = kernel->name();
-  report.data_bytes = workload.data_bytes;
-  report.storage_nodes = options.cluster.storage_nodes;
-  report.compute_nodes = options.cluster.compute_nodes;
-  report.data_mode = workload.with_data;
-  report.decision_note = decision.rationale;
-
-  const TrafficSnapshot before = TrafficSnapshot::take(cluster.network());
-
-  telemetry::Plane* plane =
-      options.context != nullptr ? options.context->telemetry : nullptr;
-  if (plane != nullptr) {
-    cluster.network().enroll(plane->registry());
-    for (pfs::ServerIndex s = 0; s < cluster.pfs().num_servers(); ++s) {
-      cluster.pfs().server(s).enroll(plane->registry());
-    }
-    for (std::uint32_t c = 0; c < options.cluster.compute_nodes; ++c) {
-      cluster.client(c).enroll(plane->registry());
-    }
-    plane->start(cluster.simulator());
-  }
+  run.arm_telemetry();
 
   // Contiguous run partition: client c owns runs [c*R/C, (c+1)*R/C), so
   // each client issues exactly one read_regions and the per-server batches
   // stay large (strided patterns land on few clients per server).
-  struct ClientPart {
-    pfs::RegionList part;
-  };
   const std::uint32_t clients = options.cluster.compute_nodes;
   const std::size_t num_runs = regions.runs().size();
-  std::vector<ClientPart> parts(clients);
-  std::uint32_t active = 0;
+  std::vector<pfs::RegionList> parts(clients);
+  std::uint32_t remaining = 0;
   for (std::uint32_t c = 0; c < clients; ++c) {
     const std::size_t lo = c * num_runs / clients;
     const std::size_t hi = (c + 1) * num_runs / clients;
     if (hi > lo) {
-      parts[c].part = regions.subset(lo, hi);
-      ++active;
+      parts[c] = regions.subset(lo, hi);
+      ++remaining;
     }
   }
-  DAS_REQUIRE(active > 0 && "sparse access selected no runs");
+  DAS_REQUIRE(remaining > 0 && "sparse access selected no runs");
 
   sim::SimTime finish = -1;
-  std::uint32_t remaining = active;
   for (std::uint32_t c = 0; c < clients; ++c) {
-    if (parts[c].part.empty()) continue;
+    if (parts[c].empty()) continue;
     cluster.simulator().schedule_at(
         options.cluster.job_startup,
-        [&cluster, &parts, &finish, &remaining, c, cost_factor, input]() {
+        [&cluster, &parts, &finish, &remaining, c, cost_factor,
+         input = run.input()]() {
           cluster.client(c).read_regions(
-              input, parts[c].part,
+              input, parts[c],
               [&cluster, &parts, &finish, &remaining, c, cost_factor]() {
                 // The client computes over the rows it fetched (sampled
                 // rows + halo); the sampled outputs are kept client-side,
@@ -862,7 +749,7 @@ RunReport run_list_scheme(const ListRunOptions& options) {
                 sim::Simulator& sim = cluster.simulator();
                 const sim::SimTime done =
                     cluster.engine(cluster.compute_node(c))
-                        .execute(sim.now(), parts[c].part.total_bytes(),
+                        .execute(sim.now(), parts[c].total_bytes(),
                                  cost_factor);
                 sim.schedule_at(
                     done,
@@ -877,31 +764,12 @@ RunReport run_list_scheme(const ListRunOptions& options) {
         },
         "job.start");
   }
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  cluster.simulator().run();
-  const auto wall_end = std::chrono::steady_clock::now();
+  run.run();
   DAS_REQUIRE(finish >= 0 && "list run did not complete");
-  if (plane != nullptr) plane->finish(cluster.simulator().now());
 
-  report.exec_seconds = sim::to_seconds(finish);
-  report.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  report.sim_events =
-      cluster.simulator().events_delivered() -
-      (plane != nullptr ? plane->sampler_ticks() : 0);
-  if (options.context != nullptr) report.session_id = options.context->session;
-  if (plane != nullptr) {
-    report.spans_finished = plane->spans().spans_finished();
-    for (std::size_t h = 0; h < telemetry::kNumHops; ++h) {
-      report.span_hop_seconds[h] = sim::to_seconds(
-          plane->spans().hop_total(static_cast<telemetry::Hop>(h)));
-    }
-  }
-  fill_traffic(report, cluster.network(), before);
-  fill_utilization(report, cluster, finish);
-  fill_cache_stats(report, cluster);
-  fill_latency_breakdown(report, cluster);
+  RunReport report = run.base_report(kernel->name());
+  report.decision_note = decision.rationale;
+  run.fill_operation(report, finish);
   return report;
 }
 

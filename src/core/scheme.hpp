@@ -61,7 +61,10 @@ struct ListRunOptions {
   /// read_regions over its contiguous share of the runs and computes over
   /// the fetched rows. Any other scheme delegates to run_scheme (active
   /// storage computes every output — it cannot subset the sweep), with the
-  /// list-aware pricing recorded in the decision note either way.
+  /// list-aware pricing recorded in the decision note either way. A sparse
+  /// run is one pass of one operation on the scheme's default layout: there
+  /// is no repeat count, pipeline length, pre-distribution switch or
+  /// migration here, and das_sim rejects those flags under --access.
   Scheme scheme = Scheme::kTS;
   WorkloadSpec workload;
   AccessSpec access;

@@ -37,9 +37,13 @@
 // headers over the wire (client_server_bytes is the bytes-moved metric);
 // NAS/DAS still sweep the whole file (active storage computes every output)
 // and the table gains one "list-io ..." pricing line per row showing which
-// side the decision engine took. --access is semantic and joins the session
-// id only when given. Under traffic mode, --access=strided:K makes every
-// job fetch each strip's every-K-th 4 KiB row unit as one list request.
+// side the decision engine took. A sparse run is one pass of one operation
+// on the scheme's default layout, so --repeats, --pipeline,
+// --pre-distributed and --migrate off their defaults exit 2 under
+// --access instead of being dropped. --access is semantic and joins the
+// session id only when given. Under traffic mode, --access=strided:K makes
+// every job fetch each strip's every-K-th 4 KiB row unit as one list
+// request.
 //
 // --compute-mibps=auto runs the kernel calibration sweep once at startup
 // and feeds the measured anchor rate plus per-kernel cost factors into the
@@ -114,6 +118,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/audit.hpp"
@@ -633,6 +638,22 @@ int main(int argc, char** argv) {
                    "diag");
       }
       return 0;
+    }
+
+    // run_list_scheme has no knob for these; reject rather than drop them.
+    if (access.active()) {
+      const std::pair<const char*, bool> dropped[] = {
+          {"repeats", base.repeat_count != 1},
+          {"pipeline", base.pipeline_length != 1},
+          {"pre-distributed", !base.pre_distributed},
+          {"migrate", base.migration.enabled}};
+      for (const auto& [flag, set] : dropped) {
+        if (set) {
+          throw std::invalid_argument(
+              "--" + std::string(flag) + "=" + args.get(flag, "") +
+              ": not supported with --access=" + access.label());
+        }
+      }
     }
 
     // One cell per (kernel, scheme, trial), in output order. Cells simulate
