@@ -147,4 +147,35 @@ if(NOT traffic_diag2 MATCHES "${traffic_session}")
 endif()
 message(STATUS "session id is stable across --jobs and telemetry flags")
 
+# --- Pinned session ids: the canonical configuration string is a contract.
+# Each row is "<expected id>|<flags>"; every run also gets --gib=1 --nodes=8.
+# The rows cover the always-hashed flags, the two appended-when-given flags
+# (--kernel-cost, --access) and a cache mix. A change that reorders, renames
+# or re-spells the canonical string moves these ids. ---
+set(session_pins
+  "3a4371959bbd3921|--scheme=TS"
+  "87941bbb4cd2644a|--scheme=DAS --kernel-cost=flow-routing:2"
+  "82d485c2b5486de4|--scheme=TS --access=strided:8"
+  "ec795dbb02d1603d|--scheme=NAS --repeats=2 --cache-mib=64 --cache-policy=lfu")
+foreach(pin IN LISTS session_pins)
+  string(REPLACE "|" ";" pin_parts "${pin}")
+  list(GET pin_parts 0 want)
+  list(GET pin_parts 1 pin_flags)
+  separate_arguments(pin_args UNIX_COMMAND "${pin_flags}")
+  execute_process(
+    COMMAND ${DAS_SIM} --gib=1 --nodes=8 ${pin_args}
+            --diag=${out_dir}/pin_diag.json
+    OUTPUT_QUIET
+    RESULT_VARIABLE pin_rc)
+  if(NOT pin_rc EQUAL 0)
+    message(FATAL_ERROR "pinned-session run failed (exit ${pin_rc}): ${pin_flags}")
+  endif()
+  file(READ ${out_dir}/pin_diag.json pin_diag)
+  if(NOT pin_diag MATCHES "\"session\": \"${want}\"")
+    message(FATAL_ERROR
+      "session id moved for ${pin_flags}: want ${want}, got\n${pin_diag}")
+  endif()
+endforeach()
+message(STATUS "pinned session ids are unchanged")
+
 file(REMOVE_RECURSE ${out_dir})
