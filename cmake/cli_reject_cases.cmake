@@ -40,7 +40,56 @@ set(cases
   "--repeats=4 --access=strided:8"
   "--pipeline=4 --access=strided:8"
   "--pre-distributed=false --access=strided:8"
-  "--migrate=true --access=strided:8")
+  "--migrate=true --access=strided:8"
+  "--bogus=1 --calibrate-kernels"
+  "--scheme=XX"
+  "--kernel=nope"
+  "--log-level=bogus"
+  "--kernel-isa=avx512"
+  "--cache-policy=bogus --cache-mib=64"
+  "--access=strided:4294967297"
+  "--kernel-cost=flow-routing:inf")
+
+# Per-flag reject matrix, generated from the ranges `das_sim --help` prints:
+# for every numeric flag, a value just below its lower end, just above a
+# finite upper end, nan and x. Only out-of-range values are tried: an
+# in-range large --jobs or --trials would start that many threads or cells.
+execute_process(
+  COMMAND ${DAS_SIM} --help
+  RESULT_VARIABLE help_rc
+  OUTPUT_VARIABLE help
+  ERROR_VARIABLE help_err)
+if(NOT help_rc STREQUAL "0")
+  message(FATAL_ERROR "das_sim --help failed (exit '${help_rc}'): ${help_err}")
+endif()
+# A closed end prints as a square bracket, which would stop CMake from
+# splitting the matched rows into a list: spell closed ends as braces.
+string(REPLACE "[" "{" help "${help}")
+string(REPLACE "]" "}" help "${help}")
+set(range_re
+    "--([a-z0-9-]+)[^ \n]*  [^\n]*(an integer|a number) in ([{(])([^,\n]+), ([^})\n]+)[})]")
+string(REGEX MATCHALL "${range_re}" numeric_rows "${help}")
+list(LENGTH numeric_rows numeric_count)
+if(numeric_count EQUAL 0)
+  message(FATAL_ERROR "no numeric flag ranges found in das_sim --help:\n${help}")
+endif()
+foreach(row IN LISTS numeric_rows)
+  string(REGEX MATCH "${range_re}" _ "${row}")
+  set(name ${CMAKE_MATCH_1})
+  set(lo ${CMAKE_MATCH_4})
+  set(hi ${CMAKE_MATCH_5})
+  string(COMPARE EQUAL "${CMAKE_MATCH_3}" "(" lo_open)
+  if(lo_open)
+    set(below ${lo})  # an open lower end is itself out of range
+  else()
+    math(EXPR below "${lo} - 1")
+  endif()
+  list(APPEND cases "--${name}=${below}" "--${name}=nan" "--${name}=x")
+  if(NOT hi STREQUAL "inf")
+    math(EXPR above "${hi} + 1")
+    list(APPEND cases "--${name}=${above}")
+  endif()
+endforeach()
 
 set(failures "")
 foreach(case IN LISTS cases)
@@ -62,4 +111,5 @@ if(failures)
                       "${failures}")
 endif()
 list(LENGTH cases n)
-message(STATUS "all ${n} bad inputs exit 2 naming the flag and value")
+message(STATUS "all ${n} bad inputs (${numeric_count} numeric flags in the "
+               "matrix) exit 2 naming the flag and value")

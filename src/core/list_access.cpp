@@ -1,6 +1,8 @@
 #include "core/list_access.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -34,20 +36,18 @@ AccessSpec AccessSpec::parse(const std::string& text) {
     return spec;
   }
   if (text.rfind("strided:", 0) == 0) {
-    const std::string k = text.substr(8);
-    std::size_t used = 0;
-    unsigned long value = 0;
-    try {
-      value = std::stoul(k, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used != k.size() || value == 0) {
-      throw std::invalid_argument("--access=strided:K needs K >= 1, got \"" +
-                                  text + "\"");
+    // from_chars into the field's own type: a K past 2^32-1 is out of
+    // range, never wrapped to a small stride.
+    const char* const end = text.data() + text.size();
+    std::uint32_t value = 0;
+    const auto [ptr, ec] = std::from_chars(text.data() + 8, end, value);
+    if (ec != std::errc{} || ptr != end || value == 0) {
+      throw std::invalid_argument("--access=" + text +
+                                  ": want strided:K with K in [1, " +
+                                  std::to_string(UINT32_MAX) + "]");
     }
     spec.mode = Mode::kStrided;
-    spec.stride = static_cast<std::uint32_t>(value);
+    spec.stride = value;
     return spec;
   }
   if (text.rfind("trace:", 0) == 0 && text.size() > 6) {
@@ -55,9 +55,8 @@ AccessSpec AccessSpec::parse(const std::string& text) {
     spec.trace_path = text.substr(6);
     return spec;
   }
-  throw std::invalid_argument(
-      "unknown access pattern \"" + text +
-      "\" (expected strided:K, column, or trace:FILE)");
+  throw std::invalid_argument("--access=" + text +
+                              ": want strided:K, column or trace:FILE");
 }
 
 std::string AccessSpec::label() const {

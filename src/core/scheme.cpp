@@ -701,7 +701,10 @@ RunReport run_list_scheme(const ListRunOptions& options) {
   classic.cluster = options.cluster;
   classic.distribution = options.distribution;
   classic.context = options.context;
-  if (options.scheme != Scheme::kTS) {
+  // NAS always offloads; DAS follows its list-aware decision.
+  if (options.scheme == Scheme::kNAS ||
+      (options.scheme == Scheme::kDAS &&
+       decision.action != OffloadAction::kServeNormal)) {
     // Offloaded service: active storage runs the full sweep the classic
     // runner already models; only the decision note changes.
     RunReport report = run_scheme(classic);
@@ -709,7 +712,10 @@ RunReport run_list_scheme(const ListRunOptions& options) {
     return report;
   }
 
-  RunAssembly run(classic, options.workload.kernel_name);  // round-robin input
+  // Served as list I/O (TS, or DAS declining the offload), from the
+  // round-robin input.
+  classic.pre_distributed = false;
+  RunAssembly run(classic, options.workload.kernel_name);
   Cluster& cluster = run.cluster();
   const pfs::RegionList regions =
       options.whole_strips ? expand_to_strips(meta, list_regions)

@@ -59,9 +59,10 @@ struct SchemeRunOptions {
 struct ListRunOptions {
   /// kTS serves the access as list I/O: each client issues one
   /// read_regions over its contiguous share of the runs and computes over
-  /// the fetched rows. Any other scheme delegates to run_scheme (active
-  /// storage computes every output — it cannot subset the sweep), with the
-  /// list-aware pricing recorded in the decision note either way. A sparse
+  /// the fetched rows. kNAS delegates to run_scheme (active storage
+  /// computes every output — it cannot subset the sweep); kDAS does
+  /// whichever of the two the list-aware decision picks. The pricing is
+  /// recorded in the decision note either way. A sparse
   /// run is one pass of one operation on the scheme's default layout: there
   /// is no repeat count, pipeline length, pre-distribution switch or
   /// migration here, and das_sim rejects those flags under --access.

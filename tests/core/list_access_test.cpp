@@ -48,6 +48,8 @@ TEST(AccessSpecTest, ParseRejectsGarbage) {
   EXPECT_THROW(AccessSpec::parse("diagonal"), std::invalid_argument);
   EXPECT_THROW(AccessSpec::parse("strided:0"), std::invalid_argument);
   EXPECT_THROW(AccessSpec::parse("strided:x"), std::invalid_argument);
+  // 2^32 + 1 must not wrap to strided:1.
+  EXPECT_THROW(AccessSpec::parse("strided:4294967297"), std::invalid_argument);
 }
 
 TEST(HaloRowsTest, EightNeighborStencilIsOneRow) {

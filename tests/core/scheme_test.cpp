@@ -226,8 +226,10 @@ constexpr const char* kStrided8Note =
     "6291456 halo B, 8388608 B returned): serve-normal";
 
 // Recorded before the run paths shared one assembly. TS serves the access
-// as list I/O (one read_regions per client, round-robin input); NAS and
-// DAS delegate to run_scheme and only take the list-aware note.
+// as list I/O (one read_regions per client, round-robin input); NAS
+// delegates to run_scheme and only takes the list-aware note. DAS follows
+// its decision: at strided:8 it declines the offload, so its row is the TS
+// row under another scheme name.
 TEST(ListSchemeTest, RowsArePinned) {
   static const PinnedListRow kRows[] = {
       {Scheme::kTS, "strided:8", false,
@@ -257,10 +259,10 @@ TEST(ListSchemeTest, RowsArePinned) {
        "0.00182857,0.00182857,0.00182857,0.00266667,0.00266667,0.00266667,0,0",
        kStrided8Note},
       {Scheme::kDAS, "strided:8", false,
-       "DAS,flow-routing,67108864,4,4,0.098139,0,6291456,2,0,1,0,6.83814e+08,"
-       "0.52069,0.13899,0.434757,0,0,0,0,0,0,0,0,0,0,0,0,0,0.00909313,"
-       "0.00909313,0.0182663,0.0182663,0.0182663,0.00142857,0.00182857,"
-       "0.00182857,0.0426667,0.0426667,0.0426667,0,0",
+       "DAS,flow-routing,67108864,4,4,0.147108,25166872,0,0,0,0,0,4.56188e+08,"
+       "0.079339,0.185461,0,0.108763,0,0,0,0,0,0,0,0,0,0,0,1.0816e-05,"
+       "0.0654205,0.0799492,8.5408e-05,0.0364484,0.0364484,0.00182857,"
+       "0.00182857,0.00182857,0.0159999,0.0159999,0.0159999,0,0",
        kStrided8Note},
   };
   for (const PinnedListRow& row : kRows) {

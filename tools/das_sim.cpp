@@ -4,30 +4,13 @@
 // over the model parameters, optionally repeating trials under disk jitter
 // and reporting mean +- stddev, and optionally emitting CSV for plotting.
 //
-//   das_sim [--scheme=all|TS|NAS|DAS] [--kernel=all|<name>]
-//           [--gib=24] [--nodes=24] [--trials=1] [--csv] [--jobs=1]
-//           [--strip-kib=1024] [--group=16] [--budget-pct=25]
-//           [--pipeline=1] [--window=4] [--pre-distributed=true] [--repeats=1]
-//           [--cache-mib=0] [--cache-policy=lru]
-//           [--prefetch=on|off] [--prefetch-depth=0]
-//           [--migrate=off] [--migrate-threshold=4.0]
-//           [--nic-mibps=110] [--disk-mibps=700] [--compute-mibps=450]
-//           [--startup-s=12] [--jitter-pct=0] [--stragglers=0] [--slowdown=1]
-//           [--trace=FILE] [--audit=FILE] [--log-level=LEVEL]
-//           [--tenants=1] [--arrival-rate=1.0] [--tenant-jobs=8]
-//           [--job-mib=16] [--datasets=1] [--replicas=2]
-//           [--admission-mib=0] [--fair-queue=off] [--weights=1,...]
-//           [--hedge=off] [--reroute=off] [--trace-file=FILE] [--slo=FILE]
-//           [--metrics=FILE] [--metrics-prom=FILE] [--metrics-period-ms=50]
-//           [--spans=off] [--flight-record=FILE] [--diag=FILE]
-//           [--slo-target-ms=0] [--slo-budget=0.01] [--slo-window-s=1]
-//           [--kernel-isa=auto|scalar|sse2|avx2] [--calibrate-kernels]
-//           [--kernel-cost=NAME:FACTOR,...]
-//           [--access=strided:K|column|trace:FILE] [--span-sample=N]
-//
-// Every numeric flag is range-checked before anything runs: a value that is
-// not a number, or is out of range (--strip-kib=0, --gib=-1, --nodes=3,
-// --weights=abc, ...), exits 2 with a message naming the flag and the value.
+// Every flag is one row of kFlags below: name, kind, accepted range or
+// values, default, session role and help line. `das_sim --help` prints the
+// table. Before anything runs, every given flag is checked against its row:
+// an unknown flag, a value that does not parse, an out-of-range number or a
+// bad choice exits 2 with "das_sim: --flag=value: want ...". Checks that
+// relate two flags (an even --nodes, --stragglers at most half of it, ...)
+// follow in main, still before any simulation.
 //
 // Sparse access (--access, src/core/list_access.hpp): instead of the full
 // raster sweep, read only every K-th row (strided:K), the middle column
@@ -35,15 +18,14 @@
 // padded with the kernel's stencil halo — through the list-I/O request
 // plane (pfs/region.hpp, DESIGN §15). TS then moves only runs + list
 // headers over the wire (client_server_bytes is the bytes-moved metric);
-// NAS/DAS still sweep the whole file (active storage computes every output)
-// and the table gains one "list-io ..." pricing line per row showing which
-// side the decision engine took. A sparse run is one pass of one operation
-// on the scheme's default layout, so --repeats, --pipeline,
-// --pre-distributed and --migrate off their defaults exit 2 under
-// --access instead of being dropped. --access is semantic and joins the
-// session id only when given. Under traffic mode, --access=strided:K makes
-// every job fetch each strip's every-K-th 4 KiB row unit as one list
-// request.
+// NAS sweeps the whole file (active storage computes every output), DAS
+// does whichever of the two its list-aware decision picks, and the table
+// gains one "list-io ..." pricing line per row showing that decision. A
+// sparse run is one pass of one operation on the scheme's default layout,
+// so --repeats, --pipeline, --pre-distributed and --migrate off their
+// defaults exit 2 under --access instead of being dropped. Under traffic
+// mode, --access=strided:K makes every job fetch each strip's every-K-th
+// 4 KiB row unit as one list request.
 //
 // --compute-mibps=auto runs the kernel calibration sweep once at startup
 // and feeds the measured anchor rate plus per-kernel cost factors into the
@@ -52,43 +34,37 @@
 // collide. --span-sample=N tracks 1 of every N request spans, chosen by a
 // deterministic hash of the span mint counter (the same subset for any
 // --jobs); multiply span hop totals by N to estimate whole-run attribution.
-// The flag implies --spans and, being observational, never joins the
-// session id.
 //
 // Vectorized kernel engine (src/kernels/simd.hpp): --kernel-isa pins the
 // data-mode kernels to a narrower instruction set than the CPU supports
 // (auto = widest detected; requesting an unsupported ISA is an error). Every
 // ISA produces bit-identical outputs, so the flag changes wall-clock time
-// only and is excluded from the session id. --calibrate-kernels measures the
-// kernels' real cells/sec on this machine under the active ISA, prints the
-// recommended --compute-mibps and --kernel-cost values, and exits.
-// --kernel-cost overrides the per-kernel compute cost factors the simulated
-// compute engines charge (unlisted kernels keep their built-in guess); it is
-// semantic and joins the session id only when given.
+// only. --calibrate-kernels measures the kernels' real cells/sec on this
+// machine under the active ISA, prints the recommended --compute-mibps and
+// --kernel-cost values, and exits. --kernel-cost overrides the per-kernel
+// compute cost factors the simulated compute engines charge (unlisted
+// kernels keep their built-in guess).
 //
 // --jobs=N runs the sweep's independent (kernel, scheme, trial) cells on N
-// worker threads; --jobs=0 means one worker per hardware thread
-// (runner::default_jobs(), the same mapping the bench binaries use). Every
-// cell simulates in its own run context, and all output is printed after
-// the sweep in cell order, so stdout, CSV, trace and audit files are
-// byte-identical for any N.
+// worker threads (runner::default_jobs() for 0, the same mapping the bench
+// binaries use). Every cell simulates in its own run context, and all
+// output is printed after the sweep in cell order, so stdout, CSV, trace
+// and audit files are byte-identical for any N.
 //
 // Traffic mode (multi-tenant open-loop workload, src/traffic/) engages when
 // --tenants > 1, a --trace-file is given, or any traffic feature
 // (--admission-mib/--fair-queue/--hedge/--reroute) is enabled. N tenants
-// then submit Poisson (--arrival-rate jobs/s each, --tenant-jobs each,
-// --job-mib per job) or trace-replayed jobs against one shared cluster, and
-// the per-tenant SLO table (p50/p95/p99 sojourn/service) goes to --slo=FILE
-// or stdout. --tenants=1 with every feature off deliberately routes through
-// the classic sweep path above, so the single-tenant system is byte-for-byte
-// the pre-traffic simulator (like --prefetch=off).
+// then submit Poisson or trace-replayed jobs against one shared cluster,
+// and the per-tenant SLO table (p50/p95/p99 sojourn/service) goes to
+// --slo=FILE or stdout. --tenants=1 with every feature off deliberately
+// routes through the classic sweep path, so the single-tenant system is
+// byte-for-byte the pre-traffic simulator (like --prefetch=off).
 // --trace=FILE writes a Chrome trace-event / Perfetto-loadable JSON
 // timeline of every NIC, disk, compute, cache and prefetch event. Multiple
 // runs in one invocation merge into one buffer and each restarts simulated
 // time at zero, so the flag is most useful with a single
 // scheme/kernel/trial. --audit=FILE writes one predicted-vs-observed
 // decision-audit CSV row per run.
-// --log-level=trace|debug|info|warn|error|off sets every run's logger.
 //
 // Telemetry plane (src/telemetry/): --metrics samples every enrolled counter
 // /gauge/histogram into a columnar CSV time series, --metrics-prom writes a
@@ -100,10 +76,9 @@
 // loops' summed wall seconds and event count, plus the whole process's wall
 // seconds (main entry to the sidecar write) and peak resident MiB. Every
 // output — trace, audit, SLO table, metrics, diag — is stamped with one
-// session id hashed from the run's semantic configuration
-// (never --jobs, output paths, or the telemetry flags themselves), so all
-// artifacts of one experiment join on one key. With every telemetry flag
-// off, outputs are byte-identical to a binary that never heard of them.
+// session id hashed from the flags whose session role is not "never", so
+// all artifacts of one experiment join on one key. With every telemetry
+// flag off, outputs are byte-identical to a binary that never heard of them.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -113,6 +88,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -137,49 +113,316 @@
 
 namespace {
 
-/// Integer flag `name` (absent: `fallback`), which must be a whole number in
-/// [lo, hi]. Anything else is a usage error naming the flag and the value,
-/// so no input reaches a DAS_REQUIRE, a division by zero or a wrapping cast.
-std::int64_t int_flag(const das::runner::Args& args, const std::string& name,
-                      std::int64_t fallback, std::int64_t lo,
-                      std::int64_t hi = UINT32_MAX) {
-  if (!args.has(name)) return fallback;
-  const std::string text = args.get(name, "");
+using das::runner::Args;
+
+enum class Kind { kInt, kReal, kBool, kChoice, kText };
+
+/// How a flag joins the canonical string the session id is hashed from.
+/// kAlways rows contribute "name=raw-value;" (empty when absent) in table
+/// order; kWhenGiven rows follow, in table order, only when given a
+/// non-empty value, so configurations from before the flag existed keep
+/// their session ids. Worker count, output paths, telemetry and the kernel
+/// ISA (bit-identical outputs) are kNever: one experiment keeps one id
+/// across them.
+enum class Session { kNever, kAlways, kWhenGiven };
+
+constexpr double kInf = HUGE_VAL;
+constexpr double kU32 = UINT32_MAX;
+
+/// Accepted numeric range; `hi` is inclusive, and unbounded when infinite.
+struct Range {
+  double lo = 0.0;
+  double hi = kInf;
+  bool lo_open = false;  ///< kReal only: `lo` itself is out of range.
+};
+
+constexpr Range kPositive = {0, kInf, true};
+
+/// One command-line flag. `values` is the "|"-separated choice list for
+/// kChoice, a word accepted besides the range for kInt, and the form a
+/// value takes for kText, whose `valid` (when set) checks a given value.
+struct Flag {
+  const char* name;
+  Kind kind;
+  Session session;
+  const char* fallback;  ///< the default, spelled as on the command line
+  const char* help;
+  Range range = {};
+  const char* values = nullptr;
+  bool (*valid)(const std::string&) = nullptr;
+};
+
+/// A whole integer, or a finite real, spanning all of `text`.
+template <class T>
+std::optional<T> parse_number(const std::string& text) {
   const char* const end = text.data() + text.size();
-  std::int64_t value = 0;
+  T value{};
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end || value < lo || value > hi) {
-    throw std::invalid_argument("--" + name + "=" + text +
-                                ": want an integer in [" + std::to_string(lo) +
-                                ", " + std::to_string(hi) + "]");
-  }
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value)) return {};
   return value;
 }
 
-/// Parse `text` (the value of --`name`) as a finite real above `lo` (or at
-/// `lo` when `lo_inclusive`) and at most `hi`.
-double parse_real(const std::string& name, const std::string& text, double lo,
-                  bool lo_inclusive, double hi = HUGE_VAL) {
-  const char* const end = text.data() + text.size();
-  double value = 0.0;
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(value) ||
-      value > hi || (lo_inclusive ? value < lo : value <= lo)) {
-    char range[96];
-    std::snprintf(range, sizeof range, "%s%g, %g%s", lo_inclusive ? "[" : "(",
-                  lo, hi, std::isinf(hi) ? ")" : "]");
-    throw std::invalid_argument("--" + name + "=" + text +
-                                ": want a number in " + range);
-  }
-  return value;
+/// The words das::runner::Args::get_bool accepts.
+std::optional<bool> parse_bool(const std::string& t) {
+  if (t == "true" || t == "1" || t == "yes" || t == "on") return true;
+  if (t == "false" || t == "0" || t == "no" || t == "off") return false;
+  return {};
 }
 
-/// Real-valued twin of int_flag.
-double real_flag(const das::runner::Args& args, const std::string& name,
-                 double fallback, double lo, bool lo_inclusive,
-                 double hi = HUGE_VAL) {
-  if (!args.has(name)) return fallback;
-  return parse_real(name, args.get(name, ""), lo, lo_inclusive, hi);
+/// Split "a,b,c" at `sep`; a trailing separator adds no empty entry.
+std::vector<std::string> split_list(const std::string& text, char sep = ',') {
+  std::vector<std::string> out;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t end = std::min(text.find(sep, pos), text.size());
+    out.push_back(text.substr(pos, end - pos));
+    pos = end + 1;
+  }
+  return out;
+}
+
+/// --kernel: "all" or one registry kernel.
+std::optional<std::vector<std::string>> parse_kernels(const std::string& v) {
+  const auto registry = das::kernels::standard_registry();
+  if (v == "all") return registry.names();
+  if (!registry.contains(v)) return {};
+  return std::vector<std::string>{v};
+}
+
+/// --kernel-cost="name:factor,...": registry kernels, finite factors > 0.
+std::optional<das::core::ComputeCostModel> parse_kernel_cost(
+    const std::string& text) {
+  das::core::ComputeCostModel model;
+  const auto registry = das::kernels::standard_registry();
+  for (const std::string& entry : split_list(text)) {
+    const std::size_t colon = entry.find(':');
+    if (colon == std::string::npos) return {};
+    const std::string name = entry.substr(0, colon);
+    const auto factor = parse_number<double>(entry.substr(colon + 1));
+    if (!registry.contains(name) || !factor || !(*factor > 0.0)) return {};
+    model.kernel_cost_factor[name] = *factor;
+  }
+  return model;
+}
+
+/// --weights="w,w,...": finite weights > 0, one per tenant.
+std::optional<std::vector<double>> parse_weights(const std::string& text) {
+  std::vector<double> weights;
+  for (const std::string& entry : split_list(text)) {
+    const auto w = parse_number<double>(entry);
+    if (!w || !(*w > 0.0)) return {};
+    weights.push_back(*w);
+  }
+  return weights;
+}
+
+/// --access: empty for the classic full sweep.
+std::optional<das::core::AccessSpec> parse_access(const std::string& text) {
+  if (text.empty()) return das::core::AccessSpec{};
+  try {
+    return das::core::AccessSpec::parse(text);
+  } catch (const std::invalid_argument&) {
+    return {};
+  }
+}
+
+/// A kText row's check: `Parse` accepts the value.
+template <auto Parse>
+bool parses(const std::string& value) {
+  return Parse(value).has_value();
+}
+
+using enum Kind;
+using enum Session;
+
+// The kAlways rows' relative order, and kernel-cost before access, are part
+// of the session id: moving one re-keys every pinned experiment.
+const Flag kFlags[] = {
+    {"scheme", kChoice, kAlways, "all", "schemes to run", {},
+     "all|TS|NAS|DAS|ts|nas|das"},
+    {"kernel", kText, kAlways, "flow-routing", "kernels to run", {},
+     "all or a registered kernel name", parses<parse_kernels>},
+    {"gib", kInt, kAlways, "24", "input raster size, GiB", {1, 1 << 20}},
+    {"nodes", kInt, kAlways, "24", "nodes (even; half storage)", {2, 1 << 16}},
+    {"trials", kInt, kAlways, "1", "seeds per scheme and kernel", {1, kU32}},
+    {"csv", kBool, kNever, "off", "CSV rows instead of the table"},
+    {"jobs", kInt, kNever, "1", "sweep threads; 0 = one per core", {0, kU32}},
+    {"strip-kib", kInt, kAlways, "1024", "strip size, KiB", {1, 1 << 20}},
+    {"nic-mibps", kInt, kAlways, "110", "NIC bandwidth, MiB/s", {1, kU32}},
+    {"disk-mibps", kInt, kAlways, "700", "disk bandwidth, MiB/s", {1, kU32}},
+    {"compute-mibps", kInt, kAlways, "450", "compute rate, MiB/s", {1, kU32},
+     "auto"},
+    {"startup-s", kInt, kAlways, "12", "job start-up time, s", {0, kU32}},
+    {"jitter-pct", kInt, kAlways, "0", "disk jitter, percent", {0, 99}},
+    {"stragglers", kInt, kAlways, "0", "slow servers, at most nodes/2",
+     {0, 1 << 15}},
+    {"slowdown", kInt, kAlways, "1", "straggler slowdown factor", {1, kU32}},
+    {"group", kInt, kAlways, "16", "DAS group size, strips", {1, kU32}},
+    {"budget-pct", kInt, kAlways, "25", "DAS capacity budget, %", {0, kU32}},
+    {"pipeline", kInt, kAlways, "1", "operations chained per run", {1, kU32}},
+    {"window", kInt, kAlways, "4", "requests in flight per client", {1, kU32}},
+    {"pre-distributed", kBool, kAlways, "on", "DAS input starts planned"},
+    {"repeats", kInt, kAlways, "1", "passes over the same input", {1, kU32}},
+    {"cache-mib", kInt, kAlways, "0", "server strip cache, MiB", {0, 1 << 30}},
+    {"cache-policy", kChoice, kAlways, "lru", "cache eviction", {}, "lru|lfu"},
+    {"prefetch", kBool, kAlways, "on", "halo prefetch (off: demand fetch)"},
+    {"prefetch-depth", kInt, kAlways, "0", "prefetch strips", {0, kU32}},
+    {"migrate", kBool, kAlways, "off", "online layout migration (NAS)"},
+    {"migrate-threshold", kReal, kAlways, "4", "migration trigger", kPositive},
+    {"kernel-isa", kChoice, kNever, "auto", "data-mode kernel ISA", {},
+     "auto|scalar|sse2|avx2"},
+    {"calibrate-kernels", kBool, kNever, "off", "measure kernels and exit"},
+    {"kernel-cost", kText, kWhenGiven, "", "kernel compute cost factors", {},
+     "NAME:FACTOR,... each FACTOR > 0", parses<parse_kernel_cost>},
+    {"access", kText, kWhenGiven, "", "sparse access via list I/O", {},
+     "strided:K (1 <= K < 2^32), column or trace:FILE",
+     parses<parse_access>},
+    {"tenants", kInt, kAlways, "1", "tenants; > 1 is traffic mode", {1, kU32}},
+    {"tenant-jobs", kInt, kAlways, "8", "jobs per tenant", {1, kU32}},
+    {"arrival-rate", kReal, kAlways, "1", "jobs/s per tenant", kPositive},
+    {"job-mib", kInt, kAlways, "16", "job size, MiB", {1, kU32}},
+    {"datasets", kInt, kAlways, "1", "datasets in the input", {1, kU32}},
+    {"replicas", kInt, kAlways, "2", "replicas per strip", {1, kU32}},
+    {"admission-mib", kInt, kAlways, "0", "admission MiB", {0, 1 << 30}},
+    {"fair-queue", kBool, kAlways, "off", "weighted fair queueing"},
+    {"weights", kText, kAlways, "", "tenant weights", {},
+     "W,W,... each W > 0", parses<parse_weights>},
+    {"hedge", kBool, kAlways, "off", "hedge slow reads to a replica"},
+    {"reroute", kBool, kAlways, "off", "route reads off slow servers"},
+    {"trace-file", kText, kAlways, "", "replay jobs from FILE", {}, "FILE"},
+    {"slo", kText, kNever, "", "SLO table to FILE, not stdout", {}, "FILE"},
+    {"trace", kText, kNever, "", "Chrome trace-event JSON", {}, "FILE"},
+    {"audit", kText, kNever, "", "decision-audit CSV", {}, "FILE"},
+    {"log-level", kChoice, kNever, "", "log level", {},
+     "trace|debug|info|warn|error|off"},
+    {"metrics", kText, kNever, "", "sampled metrics CSV", {}, "FILE"},
+    {"metrics-prom", kText, kNever, "", "Prometheus metrics", {}, "FILE"},
+    {"metrics-period-ms", kInt, kNever, "50", "sample period, ms", {1, kU32}},
+    {"spans", kBool, kNever, "off", "track causal request spans"},
+    {"span-sample", kInt, kNever, "1", "track 1 in N spans", {1, kU32}},
+    {"flight-record", kText, kNever, "", "SLO-alert span dump", {}, "FILE"},
+    {"slo-target-ms", kReal, kNever, "0", "tenant latency target, ms", {}},
+    {"slo-budget", kReal, kNever, "0.01", "SLO error budget", {0, 1, true}},
+    {"slo-window-s", kReal, kNever, "1", "SLO burn window, s", kPositive},
+    {"diag", kText, kNever, "", "run-cost JSON", {}, "FILE"},
+    {"help", kBool, kNever, "off", "print this table and exit"},
+};
+
+const Flag& flag(const std::string& name) {
+  for (const Flag& f : kFlags) {
+    if (name == f.name) return f;
+  }
+  throw std::logic_error("das_sim reads a flag missing from kFlags: " + name);
+}
+
+/// What a valid value of `f` looks like, for --help and rejections.
+std::string want(const Flag& f) {
+  const Range& r = f.range;
+  char range[128];
+  switch (f.kind) {
+    case kInt:
+    case kReal:
+      std::snprintf(range, sizeof range, "%s%s%s in %s%.15g, %.15g%s",
+                    f.values ? f.values : "", f.values ? " or " : "",
+                    f.kind == kInt ? "an integer" : "a number",
+                    r.lo_open ? "(" : "[", r.lo, r.hi,
+                    std::isinf(r.hi) ? ")" : "]");
+      return range;
+    case kBool: return "on or off";
+    case kChoice: return std::string("one of ") + f.values;
+    case kText: return f.values;
+  }
+  return "";
+}
+
+bool accepts(const Flag& f, const std::string& value) {
+  const Range& r = f.range;
+  switch (f.kind) {
+    case kInt:
+    case kReal: {
+      if (f.values != nullptr && value == f.values) return true;
+      // An integer must also parse as one; past 2^53 it is out of range.
+      const auto x = parse_number<double>(value);
+      return x && (f.kind == kReal || parse_number<std::int64_t>(value)) &&
+             (r.lo_open ? *x > r.lo : *x >= r.lo) && *x <= r.hi;
+    }
+    case kBool: return parse_bool(value).has_value();
+    case kChoice: {
+      const auto choices = split_list(f.values, '|');
+      return std::find(choices.begin(), choices.end(), value) != choices.end();
+    }
+    case kText: return f.valid == nullptr || f.valid(value);
+  }
+  return false;
+}
+
+[[noreturn]] void reject(const std::string& name, const std::string& value,
+                         const std::string& wanted) {
+  throw std::invalid_argument("--" + name + "=" + value + ": want " + wanted);
+}
+
+/// Check every given flag against its row; reject the first unknown flag.
+void check_flags(const Args& args) {
+  for (const Flag& f : kFlags) {
+    if (!args.has(f.name)) continue;
+    const std::string value = args.get(f.name, "");
+    if (!accepts(f, value)) reject(f.name, value, want(f));
+  }
+  if (const std::string unknown = args.unused(); !unknown.empty()) {
+    const std::string name = unknown.substr(0, unknown.find(','));
+    reject(name, args.get(name, ""), "a flag listed by --help");
+  }
+}
+
+void print_help() {
+  static const char* const kRoles[] = {"never", "always", "when-given"};
+  std::printf(
+      "usage: das_sim [--flag=value ...]\n"
+      "Each flag: --name=default, accepted values, session role, help.\n"
+      "Session roles: always = hashed into the session id as given;\n"
+      "when-given = hashed only when given; never = not hashed.\n\n");
+  for (const Flag& f : kFlags) {
+    std::printf("  --%s%s%s  %s  [session: %s]\n      %s\n", f.name,
+                *f.fallback != '\0' ? "=" : "", f.fallback, want(f).c_str(),
+                kRoles[static_cast<int>(f.session)], f.help);
+  }
+}
+
+// Typed lookups: the given value, or the row's default. Values were
+// checked by check_flags, so the parses cannot fail.
+std::string text_arg(const Args& args, const std::string& name) {
+  return args.get(name, flag(name).fallback);
+}
+template <class T = std::int64_t>
+T int_arg(const Args& args, const std::string& name) {
+  return static_cast<T>(
+      parse_number<std::int64_t>(text_arg(args, name)).value());
+}
+double real_arg(const Args& args, const std::string& name) {
+  return parse_number<double>(text_arg(args, name)).value();
+}
+bool bool_arg(const Args& args, const std::string& name) {
+  return parse_bool(text_arg(args, name)).value();
+}
+/// Whether --`name` (an integer or bool flag) holds its default value.
+bool at_default(const Args& args, const std::string& name) {
+  const Flag& f = flag(name);
+  return f.kind == kBool
+             ? bool_arg(args, name) == parse_bool(f.fallback)
+             : int_arg(args, name) == parse_number<std::int64_t>(f.fallback);
+}
+
+/// Canonical configuration string the session id is hashed from; see
+/// Session for which flags join it and how.
+std::string canonical_config(const Args& args) {
+  std::string out;
+  for (const Session role : {kAlways, kWhenGiven}) {
+    for (const Flag& f : kFlags) {
+      const std::string value = args.get(f.name, "");
+      if (f.session != role || (role == kWhenGiven && value.empty())) continue;
+      out += std::string(f.name) + '=' + value + ';';
+    }
+  }
+  return out;
 }
 
 std::vector<das::core::Scheme> parse_schemes(const std::string& arg) {
@@ -187,99 +430,7 @@ std::vector<das::core::Scheme> parse_schemes(const std::string& arg) {
   if (arg == "all") return {Scheme::kNAS, Scheme::kDAS, Scheme::kTS};
   if (arg == "TS" || arg == "ts") return {Scheme::kTS};
   if (arg == "NAS" || arg == "nas") return {Scheme::kNAS};
-  if (arg == "DAS" || arg == "das") return {Scheme::kDAS};
-  throw std::invalid_argument("unknown scheme: " + arg);
-}
-
-std::vector<std::string> parse_kernels(const std::string& arg) {
-  const auto registry = das::kernels::standard_registry();
-  if (arg == "all") return registry.names();
-  if (!registry.contains(arg)) {
-    throw std::invalid_argument("unknown kernel: " + arg);
-  }
-  return {arg};
-}
-
-/// Parse --kernel-cost="name:factor,name:factor,..." into the cost model.
-das::core::ComputeCostModel parse_kernel_cost(const std::string& arg) {
-  das::core::ComputeCostModel model;
-  if (arg.empty()) return model;
-  const auto registry = das::kernels::standard_registry();
-  std::size_t pos = 0;
-  while (pos <= arg.size()) {
-    const std::size_t comma = std::min(arg.find(',', pos), arg.size());
-    const std::string entry = arg.substr(pos, comma - pos);
-    const std::size_t colon = entry.find(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 >= entry.size()) {
-      throw std::invalid_argument(
-          "bad --kernel-cost entry (want name:factor): " + entry);
-    }
-    const std::string name = entry.substr(0, colon);
-    if (!registry.contains(name)) {
-      throw std::invalid_argument("unknown kernel in --kernel-cost: " + name);
-    }
-    std::size_t used = 0;
-    double factor = 0.0;
-    try {
-      factor = std::stod(entry.substr(colon + 1), &used);
-    } catch (const std::exception&) {
-      used = 0;  // non-numeric: fall through to the contextual error below
-    }
-    if (used != entry.size() - colon - 1 || !(factor > 0.0)) {
-      throw std::invalid_argument("bad --kernel-cost factor for " + name +
-                                  ": " + entry.substr(colon + 1));
-    }
-    model.kernel_cost_factor[name] = factor;
-    pos = comma + 1;
-  }
-  return model;
-}
-
-/// Canonical configuration string the session id is hashed from: every flag
-/// that shapes simulated behaviour, in fixed order, as given on the command
-/// line (absent flags contribute their empty default). Worker count, output
-/// file paths, and the telemetry switches are deliberately excluded, so one
-/// experiment keeps one session id across --jobs settings and across
-/// telemetry on/off reruns.
-std::string canonical_config(const das::runner::Args& args) {
-  static const char* const kSemantic[] = {
-      "scheme",        "kernel",          "gib",
-      "nodes",         "trials",          "strip-kib",
-      "nic-mibps",     "disk-mibps",      "compute-mibps",
-      "startup-s",     "jitter-pct",      "stragglers",
-      "slowdown",      "group",           "budget-pct",
-      "pipeline",      "window",          "pre-distributed",
-      "repeats",       "cache-mib",       "cache-policy",
-      "prefetch",      "prefetch-depth",  "migrate",
-      "migrate-threshold", "tenants",     "tenant-jobs",
-      "arrival-rate",  "job-mib",         "datasets",
-      "replicas",      "admission-mib",   "fair-queue",
-      "weights",       "hedge",           "reroute",
-      "trace-file"};
-  std::string out;
-  for (const char* name : kSemantic) {
-    out += name;
-    out += '=';
-    out += args.get(name, "");
-    out += ';';
-  }
-  // Appended only when given, so every pre-existing configuration keeps the
-  // session id it had before the flag existed. (--kernel-isa is deliberately
-  // absent: all ISAs produce bit-identical outputs; --span-sample is absent
-  // because sampling is observational — it changes which spans are tracked,
-  // never the simulated byte flows.)
-  if (const std::string kc = args.get("kernel-cost", ""); !kc.empty()) {
-    out += "kernel-cost=";
-    out += kc;
-    out += ';';
-  }
-  if (const std::string ac = args.get("access", ""); !ac.empty()) {
-    out += "access=";
-    out += ac;
-    out += ';';
-  }
-  return out;
+  return {Scheme::kDAS};
 }
 
 void write_file(const std::string& path, const std::string& content,
@@ -292,16 +443,18 @@ void write_file(const std::string& path, const std::string& content,
   out << content;
 }
 
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 /// The --diag sidecar: host-side run cost for CI trending, keyed by session.
 /// `wall_seconds` is event-loop time only; `process_wall_seconds` runs from
 /// `process_start` (main entry) to now, and the peak RSS is the process's.
 std::string diag_json(std::uint64_t session, double wall_seconds,
                       std::uint64_t sim_events,
                       std::chrono::steady_clock::time_point process_start) {
-  const double process_wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    process_start)
-          .count();
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   const double peak_rss_mib = static_cast<double>(usage.ru_maxrss) / 1024.0;
@@ -312,8 +465,30 @@ std::string diag_json(std::uint64_t session, double wall_seconds,
                 "\"peak_rss_mib\": %.1f}\n",
                 das::telemetry::session_hex(session).c_str(), wall_seconds,
                 static_cast<unsigned long long>(sim_events),
-                process_wall_seconds, peak_rss_mib);
+                seconds_since(process_start), peak_rss_mib);
   return buf;
+}
+
+/// Write the outputs the flags ask for: --trace from `tracer`, --metrics,
+/// --metrics-prom and --flight-record from `plane` (non-null whenever one of
+/// them is given), and --diag from the run's event-loop totals.
+void write_sidecars(const Args& args, const das::sim::Tracer& tracer,
+                    das::telemetry::Plane* plane, std::uint64_t session,
+                    double wall_seconds, std::uint64_t sim_events,
+                    std::chrono::steady_clock::time_point process_start) {
+  const std::pair<const char*, std::function<std::string()>> sidecars[] = {
+      {"trace", [&] { return tracer.to_json(); }},
+      {"metrics", [&] { return plane->sampler().csv(); }},
+      {"metrics-prom", [&] { return plane->prometheus_snapshot(); }},
+      {"flight-record", [&] { return plane->flight_json(session); }},
+      {"diag", [&] {
+         return diag_json(session, wall_seconds, sim_events, process_start);
+       }}};
+  for (const auto& [name, content] : sidecars) {
+    if (const std::string path = text_arg(args, name); !path.empty()) {
+      write_file(path, content(), name);
+    }
+  }
 }
 
 }  // namespace
@@ -323,100 +498,71 @@ int main(int argc, char** argv) {
   const auto process_start = std::chrono::steady_clock::now();
 
   try {
-    const das::runner::Args args(argc, argv);
-
-    // ISA pinning first: it also governs --calibrate-kernels below.
-    if (const std::string isa = args.get("kernel-isa", "");
-        !isa.empty() && isa != "auto") {
-      const auto parsed = das::kernels::simd::isa_from_string(isa);
-      if (!parsed) {
-        throw std::invalid_argument("unknown --kernel-isa: " + isa +
-                                    " (want auto, scalar, sse2 or avx2)");
-      }
-      das::kernels::simd::set_isa_override(*parsed);
-    }
-    if (args.get_bool("calibrate-kernels", false)) {
-      const auto report = das::kernels::calibrate_kernels();
-      std::fputs(report.format().c_str(), stdout);
+    const Args args(argc, argv);
+    check_flags(args);
+    if (bool_arg(args, "help")) {
+      print_help();
       return 0;
     }
 
-    const auto schemes = parse_schemes(args.get("scheme", "all"));
-    const auto kernels = parse_kernels(args.get("kernel", "flow-routing"));
-    const auto gib = static_cast<std::uint64_t>(
-        int_flag(args, "gib", 24, 1, std::int64_t{1} << 20));
-    const auto nodes = static_cast<std::uint32_t>(
-        int_flag(args, "nodes", 24, 2, std::int64_t{1} << 16));
-    if (nodes % 2 != 0) {
-      throw std::invalid_argument(
-          "--nodes=" + std::to_string(nodes) +
-          ": want an even count (half storage, half compute)");
+    // ISA pinning first: it also governs --calibrate-kernels below.
+    if (const std::string isa = text_arg(args, "kernel-isa"); isa != "auto") {
+      das::kernels::simd::set_isa_override(
+          das::kernels::simd::isa_from_string(isa));
     }
-    const auto trials =
-        static_cast<std::uint32_t>(int_flag(args, "trials", 1, 1));
-    const bool csv = args.get_bool("csv", false);
+    if (bool_arg(args, "calibrate-kernels")) {
+      std::fputs(das::kernels::calibrate_kernels().format().c_str(), stdout);
+      return 0;
+    }
+
+    const auto schemes = parse_schemes(text_arg(args, "scheme"));
+    const auto kernels = parse_kernels(text_arg(args, "kernel")).value();
+    const auto gib = int_arg<std::uint64_t>(args, "gib");
+    const auto nodes = int_arg<std::uint32_t>(args, "nodes");
+    if (nodes % 2 != 0) {
+      reject("nodes", text_arg(args, "nodes"),
+             "an even count (half storage, half compute)");
+    }
+    const auto trials = int_arg<std::uint32_t>(args, "trials");
+    const bool csv = bool_arg(args, "csv");
 
     das::core::SchemeRunOptions base;
     base.workload.data_bytes = gib << 30;
-    // At most 1 GiB, the smallest --gib, so a file holds at least a strip.
-    base.workload.strip_size =
-        static_cast<std::uint64_t>(
-            int_flag(args, "strip-kib", 1024, 1, std::int64_t{1} << 20))
-        << 10;
+    base.workload.strip_size = int_arg<std::uint64_t>(args, "strip-kib") << 10;
     base.workload.raster_width = static_cast<std::uint32_t>(
         base.workload.strip_size / base.workload.element_size - 1);
     base.cluster = das::runner::paper_cluster(nodes);
     base.cluster.nic_bandwidth_bps =
-        static_cast<double>(int_flag(args, "nic-mibps", 110, 1)) * 1024 * 1024;
+        int_arg<double>(args, "nic-mibps") * 1024 * 1024;
     base.cluster.disk_bandwidth_bps =
-        static_cast<double>(int_flag(args, "disk-mibps", 700, 1)) * 1024 *
-        1024;
-    // --compute-mibps=auto runs the kernel calibration sweep once and feeds
-    // the measured anchor rate (and, below, the measured per-kernel cost
-    // factors) into the cluster, so the scheme decisions rest on this
-    // machine's real compute throughput. The resolved values join the
-    // session id (see below): two hosts calibrating differently are two
-    // different experiments.
-    std::optional<das::kernels::CalibrationReport> calibrated;
-    if (args.get("compute-mibps", "") == "auto") {
-      calibrated = das::kernels::calibrate_kernels();
-      base.cluster.compute_rate_bps = calibrated->anchor_mibps * 1024 * 1024;
-    } else {
+        int_arg<double>(args, "disk-mibps") * 1024 * 1024;
+    const bool calibrate = text_arg(args, "compute-mibps") == "auto";
+    if (!calibrate) {
       base.cluster.compute_rate_bps =
-          static_cast<double>(int_flag(args, "compute-mibps", 450, 1)) *
-          1024 * 1024;
+          int_arg<double>(args, "compute-mibps") * 1024 * 1024;
     }
-    base.cluster.job_startup =
-        das::sim::seconds(int_flag(args, "startup-s", 12, 0));
-    base.cluster.disk_jitter =
-        static_cast<double>(int_flag(args, "jitter-pct", 0, 0, 99)) / 100.0;
-    base.cluster.straggler_count = static_cast<std::uint32_t>(
-        int_flag(args, "stragglers", 0, 0, nodes / 2));
-    base.cluster.straggler_slowdown =
-        static_cast<double>(int_flag(args, "slowdown", 1, 1));
-    base.distribution.group_size =
-        static_cast<std::uint64_t>(int_flag(args, "group", 16, 1));
+    base.cluster.job_startup = das::sim::seconds(int_arg(args, "startup-s"));
+    base.cluster.disk_jitter = int_arg<double>(args, "jitter-pct") / 100.0;
+    base.cluster.straggler_count = int_arg<std::uint32_t>(args, "stragglers");
+    if (base.cluster.straggler_count > nodes / 2) {
+      reject("stragglers", text_arg(args, "stragglers"),
+             "an integer in [0, " + std::to_string(nodes / 2) + "]");
+    }
+    base.cluster.straggler_slowdown = int_arg<double>(args, "slowdown");
+    base.distribution.group_size = int_arg<std::uint64_t>(args, "group");
     base.distribution.max_capacity_overhead =
-        static_cast<double>(int_flag(args, "budget-pct", 25, 0)) / 100.0;
-    base.pipeline_length =
-        static_cast<std::uint32_t>(int_flag(args, "pipeline", 1, 1));
-    base.cluster.pipeline_window = static_cast<std::uint32_t>(
-        int_flag(args, "window", base.cluster.pipeline_window, 1));
-    base.pre_distributed = args.get_bool("pre-distributed", true);
-    base.repeat_count =
-        static_cast<std::uint32_t>(int_flag(args, "repeats", 1, 1));
-    // Server-side strip cache: off unless a capacity is given.
-    const auto cache_mib = static_cast<std::uint64_t>(
-        int_flag(args, "cache-mib", 0, 0, std::int64_t{1} << 30));
+        int_arg<double>(args, "budget-pct") / 100.0;
+    base.pipeline_length = int_arg<std::uint32_t>(args, "pipeline");
+    base.cluster.pipeline_window = int_arg<std::uint32_t>(args, "window");
+    base.pre_distributed = bool_arg(args, "pre-distributed");
+    base.repeat_count = int_arg<std::uint32_t>(args, "repeats");
+    const auto cache_mib = int_arg<std::uint64_t>(args, "cache-mib");
     base.cluster.server_cache.enabled = cache_mib > 0;
     base.cluster.server_cache.capacity_bytes = cache_mib << 20;
-    base.cluster.server_cache.policy = args.get("cache-policy", "lru");
-    // Halo prefetch: off unless a depth is given; --prefetch=off forces the
-    // PR-1 demand-fetch path bit for bit regardless of depth.
-    const bool prefetch_on = args.get_bool("prefetch", true);
-    const auto prefetch_depth =
-        static_cast<std::uint32_t>(int_flag(args, "prefetch-depth", 0, 0));
-    base.cluster.prefetch.enabled = prefetch_on && prefetch_depth > 0;
+    base.cluster.server_cache.policy = text_arg(args, "cache-policy");
+    const auto prefetch_depth = int_arg<std::uint32_t>(args, "prefetch-depth");
+    base.cluster.prefetch.enabled =
+        bool_arg(args, "prefetch") && prefetch_depth > 0;
     base.cluster.prefetch.depth = prefetch_depth;
     if (base.cluster.prefetch.active() &&
         !base.cluster.server_cache.active()) {
@@ -424,84 +570,42 @@ int main(int argc, char** argv) {
           "--prefetch-depth requires --cache-mib > 0 (prefetched strips land "
           "in the server strip cache)");
     }
-    // Online layout migration (NAS repeated passes): off by default, so the
-    // classic byte flows reproduce the migration-free system exactly.
-    base.migration.enabled = args.get_bool("migrate", false);
-    base.migration.divergence_threshold =
-        real_flag(args, "migrate-threshold",
-                  base.migration.divergence_threshold, 0.0, false);
-    // Calibrated per-kernel compute cost factors (--calibrate-kernels
-    // prints a ready-made value). Empty = kernel defaults, bit for bit.
-    // Under --compute-mibps=auto the calibration's factors fill in every
-    // kernel an explicit --kernel-cost entry did not pin.
-    base.cluster.compute_cost = parse_kernel_cost(args.get("kernel-cost", ""));
-    if (calibrated) {
-      for (const auto& k : calibrated->kernels) {
-        base.cluster.compute_cost.kernel_cost_factor.try_emplace(
-            k.name, k.cost_factor);
-      }
-    }
-    const std::string trace_path = args.get("trace", "");
-    const std::string audit_path = args.get("audit", "");
-    std::optional<das::sim::LogLevel> log_level;
-    if (const std::string level = args.get("log-level", ""); !level.empty()) {
-      log_level = das::sim::log_level_from_string(level);
-      if (!log_level) {
-        throw std::invalid_argument("unknown --log-level: " + level);
-      }
-    }
-    auto jobs = static_cast<unsigned>(int_flag(args, "jobs", 1, 0));
+    base.migration.enabled = bool_arg(args, "migrate");
+    base.migration.divergence_threshold = real_arg(args, "migrate-threshold");
+    base.cluster.compute_cost =
+        parse_kernel_cost(text_arg(args, "kernel-cost")).value();
+    const std::string trace_path = text_arg(args, "trace");
+    const std::string audit_path = text_arg(args, "audit");
+    const auto log_level =
+        das::sim::log_level_from_string(text_arg(args, "log-level"));
+    auto jobs = int_arg<unsigned>(args, "jobs");
     if (jobs == 0) jobs = das::runner::default_jobs();
 
-    // Sparse list-I/O access (--access=strided:K|column|trace:FILE): the
-    // classic sweep serves it through run_list_scheme (TS fetches only the
-    // runs, other schemes price the list but sweep in full); traffic mode
-    // supports the strided pattern on every job's strip reads.
-    das::core::AccessSpec access;
-    if (const std::string a = args.get("access", ""); !a.empty()) {
-      access = das::core::AccessSpec::parse(a);
-    }
+    const auto access = parse_access(text_arg(args, "access")).value();
 
-    // Traffic mode (see header comment). All its flags are parsed here —
-    // before the unknown-flag check — whether or not the mode engages.
     das::traffic::TrafficConfig traffic;
-    traffic.cluster = base.cluster;
-    traffic.arrivals.tenants =
-        static_cast<std::uint32_t>(int_flag(args, "tenants", 1, 1));
+    traffic.arrivals.tenants = int_arg<std::uint32_t>(args, "tenants");
     traffic.arrivals.jobs_per_tenant =
-        static_cast<std::uint32_t>(int_flag(args, "tenant-jobs", 8, 1));
-    traffic.arrivals.rate_hz =
-        real_flag(args, "arrival-rate", 1.0, 0.0, false);
-    traffic.arrivals.job_bytes =
-        static_cast<std::uint64_t>(int_flag(args, "job-mib", 16, 1)) << 20;
+        int_arg<std::uint32_t>(args, "tenant-jobs");
+    traffic.arrivals.rate_hz = real_arg(args, "arrival-rate");
+    traffic.arrivals.job_bytes = int_arg<std::uint64_t>(args, "job-mib") << 20;
     traffic.arrivals.strip_bytes = base.workload.strip_size;
-    traffic.arrivals.datasets =
-        static_cast<std::uint32_t>(int_flag(args, "datasets", 1, 1));
+    traffic.arrivals.datasets = int_arg<std::uint32_t>(args, "datasets");
     traffic.arrivals.dataset_strips = std::max<std::uint64_t>(
         1, (gib << 30) / base.workload.strip_size / traffic.arrivals.datasets);
     traffic.arrivals.seed = base.cluster.seed;
-    traffic.trace_file = args.get("trace-file", "");
-    traffic.replication =
-        static_cast<std::uint32_t>(int_flag(args, "replicas", 2, 1));
-    const auto admission_mib = static_cast<std::uint64_t>(
-        int_flag(args, "admission-mib", 0, 0, std::int64_t{1} << 30));
+    traffic.trace_file = text_arg(args, "trace-file");
+    traffic.replication = int_arg<std::uint32_t>(args, "replicas");
+    const auto admission_mib = int_arg<std::uint64_t>(args, "admission-mib");
     traffic.admission.enabled = admission_mib > 0;
     traffic.admission.capacity_bytes = admission_mib << 20;
-    traffic.fair_queue = args.get_bool("fair-queue", false);
-    if (const std::string w = args.get("weights", ""); !w.empty()) {
-      for (std::size_t pos = 0; pos < w.size();) {
-        const std::size_t comma = std::min(w.find(',', pos), w.size());
-        traffic.weights.push_back(parse_real(
-            "weights", w.substr(pos, comma - pos), 0.0, false));
-        pos = comma + 1;
-      }
-    }
-    traffic.straggler.hedge = args.get_bool("hedge", false);
-    traffic.straggler.reroute = args.get_bool("reroute", false);
+    traffic.fair_queue = bool_arg(args, "fair-queue");
+    traffic.weights = parse_weights(text_arg(args, "weights")).value();
+    traffic.straggler.hedge = bool_arg(args, "hedge");
+    traffic.straggler.reroute = bool_arg(args, "reroute");
     if (access.mode == das::core::AccessSpec::Mode::kStrided) {
       traffic.access_stride = access.stride;
     }
-    const std::string slo_path = args.get("slo", "");
     const bool traffic_mode =
         traffic.arrivals.tenants > 1 || !traffic.trace_file.empty() ||
         traffic.admission.enabled || traffic.fair_queue ||
@@ -510,47 +614,72 @@ int main(int argc, char** argv) {
     const std::uint64_t dataset_bytes =
         traffic.arrivals.dataset_strips * base.workload.strip_size;
     if (traffic_mode && traffic.arrivals.job_bytes > dataset_bytes) {
+      reject("job-mib", text_arg(args, "job-mib"),
+             "a job that fits in one dataset (" +
+                 std::to_string(dataset_bytes >> 20) + " MiB)");
+    }
+    if (traffic_mode && access.active() &&
+        access.mode != das::core::AccessSpec::Mode::kStrided) {
       throw std::invalid_argument(
-          "--job-mib=" + std::to_string(traffic.arrivals.job_bytes >> 20) +
-          ": a job must fit in one dataset (" +
-          std::to_string(dataset_bytes >> 20) + " MiB)");
+          "traffic mode supports --access=strided:K only (column and "
+          "trace patterns need the classic sweep's raster geometry)");
+    }
+    // run_list_scheme has no knob for these; reject rather than drop them.
+    for (const char* name : {"repeats", "pipeline", "pre-distributed",
+                             "migrate"}) {
+      if (!traffic_mode && access.active() && !at_default(args, name)) {
+        reject(name, text_arg(args, name),
+               "its default with --access=" + access.label());
+      }
     }
 
-    // Telemetry plane flags (see header comment). The session id is minted
-    // unconditionally: every run stamps its SLO/audit rows and traces so
-    // artifacts join even when no telemetry output file was requested.
-    const std::string metrics_path = args.get("metrics", "");
-    const std::string metrics_prom_path = args.get("metrics-prom", "");
-    const auto metrics_period_ms = int_flag(args, "metrics-period-ms", 50, 1);
-    const bool spans_on = args.get_bool("spans", false);
-    // --span-sample=N tracks 1-in-N requests (deterministic hash of the
-    // span mint counter, so the subset is stable across --jobs); hop totals
-    // then represent ~1/N of the traffic. Giving the flag implies --spans.
-    const auto span_sample = int_flag(args, "span-sample", 1, 1);
-    const std::string flight_path = args.get("flight-record", "");
-    const double slo_target_ms =
-        real_flag(args, "slo-target-ms", 0.0, 0.0, true);
-    const std::string diag_path = args.get("diag", "");
     das::telemetry::PlaneConfig plane_cfg;
-    plane_cfg.metrics = !metrics_path.empty() || !metrics_prom_path.empty();
-    plane_cfg.prometheus = !metrics_prom_path.empty();
-    plane_cfg.spans = spans_on || !flight_path.empty() || span_sample > 1;
-    plane_cfg.span_sample = static_cast<std::uint32_t>(span_sample);
-    plane_cfg.sample_period = das::sim::milliseconds(metrics_period_ms);
-    plane_cfg.slo.target_s = slo_target_ms / 1000.0;
-    plane_cfg.slo.budget = real_flag(args, "slo-budget", 0.01, 0.0, false, 1.0);
-    plane_cfg.slo.window_s =
-        real_flag(args, "slo-window-s", 1.0, 0.0, false);
+    plane_cfg.prometheus = !text_arg(args, "metrics-prom").empty();
+    plane_cfg.metrics =
+        plane_cfg.prometheus || !text_arg(args, "metrics").empty();
+    plane_cfg.span_sample = int_arg<std::uint32_t>(args, "span-sample");
+    plane_cfg.spans = bool_arg(args, "spans") ||
+                      !text_arg(args, "flight-record").empty() ||
+                      plane_cfg.span_sample > 1;
+    plane_cfg.sample_period =
+        das::sim::milliseconds(int_arg(args, "metrics-period-ms"));
+    plane_cfg.slo.target_s = real_arg(args, "slo-target-ms") / 1000.0;
+    plane_cfg.slo.budget = real_arg(args, "slo-budget");
+    plane_cfg.slo.window_s = real_arg(args, "slo-window-s");
     plane_cfg.slo.max_tenants = traffic.arrivals.tenants;
-    const bool plane_active = plane_cfg.metrics || plane_cfg.spans ||
-                              plane_cfg.slo.target_s > 0.0;
     std::unique_ptr<das::telemetry::Plane> plane;
-    if (plane_active) {
+    if (plane_cfg.metrics || plane_cfg.spans || plane_cfg.slo.target_s > 0.0) {
       plane = std::make_unique<das::telemetry::Plane>(plane_cfg);
     }
-    // --compute-mibps=auto resolves to machine-measured rates, so the
-    // session id must record what was actually simulated, not the word
-    // "auto": the resolved values are appended to the canonical string.
+    // The plane is one registry + sampler, so classic-mode telemetry is
+    // limited to a single cell; sweeps would interleave unrelated runs into
+    // one time series. (--diag aggregates and stays legal for sweeps.)
+    const std::size_t per_kernel = schemes.size() * trials;
+    if (!traffic_mode && plane != nullptr && kernels.size() * per_kernel > 1) {
+      throw std::invalid_argument(
+          "--metrics/--spans/--slo-target-ms/--flight-record require a "
+          "single (scheme, kernel, trial) cell; narrow --scheme/--kernel/"
+          "--trials");
+    }
+
+    // --compute-mibps=auto feeds the measured anchor rate and per-kernel
+    // cost factors (behind any explicit --kernel-cost entry) into the
+    // cluster, so the scheme decisions rest on this machine's real compute
+    // throughput; the resolved values join the session id below.
+    std::optional<das::kernels::CalibrationReport> calibrated;
+    if (calibrate) {
+      calibrated = das::kernels::calibrate_kernels();
+      base.cluster.compute_rate_bps = calibrated->anchor_mibps * 1024 * 1024;
+      for (const auto& k : calibrated->kernels) {
+        base.cluster.compute_cost.kernel_cost_factor.try_emplace(
+            k.name, k.cost_factor);
+      }
+    }
+    traffic.cluster = base.cluster;
+
+    // The session id is minted unconditionally: every run stamps its
+    // SLO/audit rows and traces so artifacts join even when no telemetry
+    // output file was requested.
     std::string canonical = canonical_config(args);
     if (calibrated) {
       char resolved[64];
@@ -563,18 +692,7 @@ int main(int argc, char** argv) {
     const std::uint64_t session = das::telemetry::session_hash(canonical);
     const std::string session_hex = das::telemetry::session_hex(session);
 
-    if (const std::string u = args.unused(); !u.empty()) {
-      std::cerr << "unknown flags: " << u << "\n";
-      return 2;
-    }
-
     if (traffic_mode) {
-      if (access.active() &&
-          access.mode != das::core::AccessSpec::Mode::kStrided) {
-        throw std::invalid_argument(
-            "traffic mode supports --access=strided:K only (column and "
-            "trace patterns need the classic sweep's raster geometry)");
-      }
       das::sim::RunContext context;
       if (!trace_path.empty()) context.tracer.enable();
       if (log_level) context.log.set_level(*log_level);
@@ -586,10 +704,7 @@ int main(int argc, char** argv) {
       const auto wall_start = std::chrono::steady_clock::now();
       const das::traffic::TrafficReport report =
           das::traffic::run_traffic(traffic);
-      const double wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        wall_start)
-              .count();
+      const double wall_seconds = seconds_since(wall_start);
 
       std::string summary;
       summary += "traffic: tenants=" +
@@ -609,143 +724,83 @@ int main(int argc, char** argv) {
         summary += "slo: alerts=" + std::to_string(report.slo_alerts) + "\n";
       }
       std::printf("%s", summary.c_str());
-      if (slo_path.empty()) {
+      if (const std::string slo_path = text_arg(args, "slo");
+          slo_path.empty()) {
         std::printf("%s", report.slo_csv().c_str());
       } else {
-        std::ofstream out(slo_path, std::ios::trunc);
-        if (!out) {
-          throw std::runtime_error("cannot write SLO file: " + slo_path);
-        }
-        out << report.slo_csv();
+        write_file(slo_path, report.slo_csv(), "SLO");
       }
-      if (!trace_path.empty() && !context.tracer.write_json(trace_path)) {
-        throw std::runtime_error("cannot write trace file: " + trace_path);
-      }
-      if (!metrics_path.empty()) {
-        write_file(metrics_path, plane->sampler().csv(), "metrics");
-      }
-      if (!metrics_prom_path.empty()) {
-        write_file(metrics_prom_path, plane->prometheus_snapshot(),
-                   "metrics-prom");
-      }
-      if (!flight_path.empty()) {
-        write_file(flight_path, plane->flight_json(session), "flight-record");
-      }
-      if (!diag_path.empty()) {
-        write_file(diag_path,
-                   diag_json(session, wall_seconds, report.events,
-                             process_start),
-                   "diag");
-      }
+      write_sidecars(args, context.tracer, plane.get(), session, wall_seconds,
+                     report.events, process_start);
       return 0;
     }
 
-    // run_list_scheme has no knob for these; reject rather than drop them.
-    if (access.active()) {
-      const std::pair<const char*, bool> dropped[] = {
-          {"repeats", base.repeat_count != 1},
-          {"pipeline", base.pipeline_length != 1},
-          {"pre-distributed", !base.pre_distributed},
-          {"migrate", base.migration.enabled}};
-      for (const auto& [flag, set] : dropped) {
-        if (set) {
-          throw std::invalid_argument(
-              "--" + std::string(flag) + "=" + args.get(flag, "") +
-              ": not supported with --access=" + access.label());
-        }
-      }
-    }
-
-    // One cell per (kernel, scheme, trial), in output order. Cells simulate
-    // independently — possibly concurrently — and all printing happens
-    // afterwards in this order, so output never depends on --jobs.
+    // One cell per (kernel, scheme, trial), in output order: cell i is
+    // trial i % trials of schemes[i / trials % schemes.size()] on
+    // kernels[i / per_kernel]. Cells simulate independently — possibly
+    // concurrently — and all printing happens afterwards in this order, so
+    // output never depends on --jobs.
     struct Cell {
-      std::string kernel;
-      das::core::Scheme scheme;
-      std::uint32_t trial = 0;
+      das::sim::RunContext context;
+      RunReport report;
     };
-    std::vector<Cell> cells;
-    for (const std::string& kernel : kernels) {
-      for (const das::core::Scheme scheme : schemes) {
-        for (std::uint32_t trial = 0; trial < trials; ++trial) {
-          cells.push_back(Cell{kernel, scheme, trial});
-        }
-      }
+    std::vector<Cell> cells(kernels.size() * per_kernel);
+    for (Cell& cell : cells) {
+      if (!trace_path.empty()) cell.context.tracer.enable();
+      if (log_level) cell.context.log.set_level(*log_level);
+      cell.context.session = session;
     }
+    if (plane != nullptr) cells.front().context.telemetry = plane.get();
 
-    // The plane is one registry + sampler, so classic-mode telemetry is
-    // limited to a single cell; sweeps would interleave unrelated runs into
-    // one time series. (--diag aggregates and stays legal for sweeps.)
-    if (plane != nullptr && cells.size() > 1) {
-      throw std::invalid_argument(
-          "--metrics/--spans/--slo-target-ms/--flight-record require a "
-          "single (scheme, kernel, trial) cell; narrow --scheme/--kernel/"
-          "--trials");
-    }
-
-    std::vector<std::unique_ptr<das::sim::RunContext>> contexts;
-    contexts.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      contexts.push_back(std::make_unique<das::sim::RunContext>());
-      if (!trace_path.empty()) contexts.back()->tracer.enable();
-      if (log_level) contexts.back()->log.set_level(*log_level);
-      contexts.back()->session = session;
-    }
-    if (plane != nullptr) contexts.front()->telemetry = plane.get();
-
-    std::vector<RunReport> reports(cells.size());
     das::runner::parallel_for_indexed(
         jobs, cells.size(), [&](std::size_t i) {
-          if (access.active()) {
-            das::core::ListRunOptions o;
-            o.scheme = cells[i].scheme;
-            o.workload = base.workload;
-            o.workload.kernel_name = cells[i].kernel;
-            o.access = access;
-            o.cluster = base.cluster;
-            o.cluster.seed = base.cluster.seed + cells[i].trial * 1000003;
-            o.distribution = base.distribution;
-            o.context = contexts[i].get();
-            reports[i] = das::core::run_list_scheme(o);
+          const auto trial = static_cast<std::uint32_t>(i % trials);
+          das::core::SchemeRunOptions o = base;
+          o.scheme = schemes[i / trials % schemes.size()];
+          o.workload.kernel_name = kernels[i / per_kernel];
+          o.cluster.seed = base.cluster.seed + trial * 1000003;
+          o.context = &cells[i].context;
+          if (!access.active()) {
+            cells[i].report = das::core::run_scheme(o);
             return;
           }
-          das::core::SchemeRunOptions o = base;
-          o.scheme = cells[i].scheme;
-          o.workload.kernel_name = cells[i].kernel;
-          o.cluster.seed = base.cluster.seed + cells[i].trial * 1000003;
-          o.context = contexts[i].get();
-          reports[i] = das::core::run_scheme(o);
+          das::core::ListRunOptions list;
+          list.scheme = o.scheme;
+          list.workload = o.workload;
+          list.access = access;
+          list.cluster = o.cluster;
+          list.distribution = o.distribution;
+          list.context = o.context;
+          cells[i].report = das::core::run_list_scheme(list);
         });
 
     std::vector<std::string> audit_rows;
     if (csv) std::printf("%s,trial\n", das::core::report_csv_header().c_str());
 
     std::vector<RunReport> table;
-    std::size_t cell = 0;
-    for (const std::string& kernel : kernels) {
-      for (const das::core::Scheme scheme : schemes) {
-        double sum = 0.0, sum2 = 0.0;
-        for (std::uint32_t trial = 0; trial < trials; ++trial, ++cell) {
-          const RunReport& report = reports[cell];
-          sum += report.exec_seconds;
-          sum2 += report.exec_seconds * report.exec_seconds;
-          if (csv) {
-            std::printf("%s,%u\n", das::core::to_csv(report).c_str(), trial);
-          }
-          if (!audit_path.empty() && report.audit.valid) {
-            audit_rows.push_back(das::core::audit_to_csv(report) + "," +
-                                 std::to_string(trial));
-          }
+    for (std::size_t first = 0; first < cells.size(); first += trials) {
+      double sum = 0.0, sum2 = 0.0;
+      for (std::uint32_t trial = 0; trial < trials; ++trial) {
+        const RunReport& report = cells[first + trial].report;
+        sum += report.exec_seconds;
+        sum2 += report.exec_seconds * report.exec_seconds;
+        if (csv) {
+          std::printf("%s,%u\n", das::core::to_csv(report).c_str(), trial);
         }
-        table.push_back(reports[cell - 1]);
-        if (trials > 1 && !csv) {
-          const double n = trials;
-          const double mean = sum / n;
-          const double var = std::max(0.0, sum2 / n - mean * mean);
-          std::printf("%s %-18s over %u trials: %.2f +- %.2f s\n",
-                      to_string(scheme), kernel.c_str(), trials, mean,
-                      std::sqrt(var));
+        if (!audit_path.empty() && report.audit.valid) {
+          audit_rows.push_back(das::core::audit_to_csv(report) + "," +
+                               std::to_string(trial));
         }
+      }
+      table.push_back(cells[first + trials - 1].report);
+      if (trials > 1 && !csv) {
+        const double n = trials;
+        const double mean = sum / n;
+        const double var = std::max(0.0, sum2 / n - mean * mean);
+        std::printf("%s %-18s over %u trials: %.2f +- %.2f s\n",
+                    to_string(schemes[first / trials % schemes.size()]),
+                    kernels[first / per_kernel].c_str(), trials, mean,
+                    std::sqrt(var));
       }
     }
     if (!csv) {
@@ -761,47 +816,25 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (!trace_path.empty()) {
-      // Merging in cell order reproduces the buffer one shared tracer would
-      // have accumulated running the cells serially.
-      das::sim::Tracer merged;
-      merged.enable();
-      merged.set_session(session_hex);
-      for (const auto& context : contexts) {
-        merged.merge_from(context->tracer);
-      }
-      if (!merged.write_json(trace_path)) {
-        throw std::runtime_error("cannot write trace file: " + trace_path);
-      }
-    }
     if (!audit_path.empty()) {
-      std::ofstream out(audit_path, std::ios::trunc);
-      if (!out) {
-        throw std::runtime_error("cannot write audit file: " + audit_path);
-      }
-      out << das::core::audit_csv_header() << ",trial\n";
-      for (const std::string& row : audit_rows) out << row << "\n";
+      std::string rows = das::core::audit_csv_header() + ",trial\n";
+      for (const std::string& row : audit_rows) rows += row + "\n";
+      write_file(audit_path, rows, "audit");
     }
-    if (!metrics_path.empty()) {
-      write_file(metrics_path, plane->sampler().csv(), "metrics");
+    // Merging in cell order reproduces the buffer one shared tracer would
+    // have accumulated running the cells serially.
+    das::sim::Tracer merged;
+    merged.enable();
+    merged.set_session(session_hex);
+    double wall = 0.0;
+    std::uint64_t events = 0;
+    for (const Cell& cell : cells) {
+      merged.merge_from(cell.context.tracer);
+      wall += cell.report.wall_seconds;
+      events += cell.report.sim_events;
     }
-    if (!metrics_prom_path.empty()) {
-      write_file(metrics_prom_path, plane->prometheus_snapshot(),
-                 "metrics-prom");
-    }
-    if (!flight_path.empty()) {
-      write_file(flight_path, plane->flight_json(session), "flight-record");
-    }
-    if (!diag_path.empty()) {
-      double wall = 0.0;
-      std::uint64_t events = 0;
-      for (const RunReport& r : reports) {
-        wall += r.wall_seconds;
-        events += r.sim_events;
-      }
-      write_file(diag_path, diag_json(session, wall, events, process_start),
-                 "diag");
-    }
+    write_sidecars(args, merged, plane.get(), session, wall, events,
+                   process_start);
     return 0;
   } catch (const std::exception& error) {
     std::cerr << "das_sim: " << error.what() << "\n";
