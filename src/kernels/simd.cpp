@@ -25,7 +25,6 @@ Isa probe_isa() { return Isa::kScalar; }
 // the enum range.
 constexpr std::uint8_t kNoOverride = 0xFF;
 std::atomic<std::uint8_t> g_override{kNoOverride};
-std::atomic<std::uint32_t> g_block_cols{kDefaultBlockCols};
 
 }  // namespace
 
@@ -75,14 +74,6 @@ std::optional<Isa> isa_override() {
   const std::uint8_t over = g_override.load(std::memory_order_relaxed);
   if (over == kNoOverride) return std::nullopt;
   return static_cast<Isa>(over);
-}
-
-std::uint32_t block_cols() {
-  return g_block_cols.load(std::memory_order_relaxed);
-}
-
-void set_block_cols(std::uint32_t cols) {
-  g_block_cols.store(cols, std::memory_order_relaxed);
 }
 
 Stencil3RowFn laplacian_row(Isa isa) {

@@ -1,4 +1,4 @@
-// Vectorized kernel engine: runtime ISA dispatch + cache-blocked tiling.
+// Vectorized kernel engine: runtime ISA dispatch + a shared tile driver.
 //
 // The five stencil kernels (laplacian, gaussian, slope, median, statistics)
 // formulate their hot loop as a *row-segment function*: compute output cells
@@ -11,14 +11,9 @@
 // independent output cells, never partial sums — so SIMD, SSE2 and scalar
 // outputs are bit-identical, and with them every scheme CSV and trace.
 //
-// run_tile_blocked drives the sweep: boundary rows and the two edge columns
-// go through the kernel's clamped per-cell path; interior cells are walked
-// in column strips sized so three input row panels plus the output panel
-// stay L2-resident (a 256 KiB budget). Within a strip the y-loop advances
-// over all rows before the next strip starts, so each input panel is loaded
-// from memory once instead of three times on rasters whose rows outgrow the
-// cache. Cells are written exactly once whatever the strip width, so
-// blocked and unblocked sweeps are bit-identical too.
+// run_stencil_tile drives the sweep: boundary rows and the two edge columns
+// go through the kernel's clamped per-cell path; every interior row goes
+// through the dispatched row-segment function in one whole-row call.
 #pragma once
 
 #include <algorithm>
@@ -82,14 +77,7 @@ using StatsRowFn = void (*)(const float* row, std::uint32_t n,
 [[nodiscard]] StatsRowFn statistics_row(Isa isa);
 
 // ---------------------------------------------------------------------------
-// Cache-blocked tile driver.
-
-/// Interior column-strip width (elements). Default sizes three input row
-/// panels + one output panel to a 256 KiB L2 budget; 0 disables blocking
-/// (whole-row sweeps). Overridable for benchmarks and tests.
-[[nodiscard]] std::uint32_t block_cols();
-void set_block_cols(std::uint32_t cols);
-inline constexpr std::uint32_t kDefaultBlockCols = 16384;
+// Tile driver.
 
 /// Shared run_tile driver for the 3x3/5-point stencils.
 ///
@@ -97,11 +85,9 @@ inline constexpr std::uint32_t kDefaultBlockCols = 16384;
 /// seed implementation); `row_segment(up, mid, down, dst, x0, x1)` its
 /// dispatched interior row function. Boundary rows, narrow grids
 /// (width <= 2) and the first/last column take edge_cell; every interior
-/// cell is covered exactly once by row_segment in column strips of
-/// block_cols() width. Bit-identical to the seed's single sweep for any
-/// strip width because cells are computed independently.
+/// cell is covered exactly once by row_segment, one call per interior row.
 template <typename EdgeFn, typename RowFn>
-void run_tile_blocked(const TileView& view, std::uint32_t grid_height,
+void run_stencil_tile(const TileView& view, std::uint32_t grid_height,
                       std::uint32_t out_row_begin, std::uint32_t out_row_end,
                       grid::Grid<float>& out, EdgeFn&& edge_cell,
                       RowFn&& row_segment) {
@@ -124,14 +110,9 @@ void run_tile_blocked(const TileView& view, std::uint32_t grid_height,
     edge_cell(width - 1, y);
   }
 
-  const std::uint32_t cols = block_cols();
-  const std::uint32_t strip = cols == 0 ? width - 2 : cols;
-  for (std::uint32_t x0 = 1; x0 < width - 1; x0 += strip) {
-    const std::uint32_t x1 = std::min(x0 + strip, width - 1);
-    for (std::uint32_t y = interior_lo; y < interior_hi; ++y) {
-      row_segment(view.row(y - 1), view.row(y), view.row(y + 1),
-                  out.row(y - out_row_begin), x0, x1);
-    }
+  for (std::uint32_t y = interior_lo; y < interior_hi; ++y) {
+    row_segment(view.row(y - 1), view.row(y), view.row(y + 1),
+                out.row(y - out_row_begin), 1, width - 1);
   }
 }
 

@@ -61,7 +61,7 @@ void SlopeKernel::run_tile(const grid::Grid<float>& buffer,
   // with correctly-rounded divide and sqrt).
   const simd::SlopeRowFn row_fn = simd::slope_row(simd::active_isa());
   const double denom = 8.0 * cell_size_;
-  simd::run_tile_blocked(
+  simd::run_stencil_tile(
       view, grid_height, out_row_begin, out_row_end, out, edge_cell,
       [row_fn, denom](const float* up, const float* mid, const float* down,
                       float* dst, std::uint32_t x0, std::uint32_t x1) {

@@ -13,20 +13,19 @@ namespace das::traffic {
 namespace {
 
 /// Per-byte compute cost charged at the client for each job kind (raw reads
-/// charge nothing). Resolved once from the kernel registry so the traffic
-/// engine and the classic executors price a kernel identically.
+/// charge nothing). Resolved once, like the classic executors: a measured
+/// override in `model` wins, else the kernel registry's built-in factor.
 struct KindCosts {
   double factor[kNumJobKinds] = {};
 
-  KindCosts() {
+  explicit KindCosts(const core::ComputeCostModel& model) {
     const kernels::KernelRegistry registry = kernels::standard_registry();
-    factor[static_cast<std::size_t>(JobKind::kRawRead)] = 0.0;
-    factor[static_cast<std::size_t>(JobKind::kFlowRouting)] =
-        registry.create("flow-routing")->cost_factor();
-    factor[static_cast<std::size_t>(JobKind::kGaussian)] =
-        registry.create("gaussian-2d")->cost_factor();
-    factor[static_cast<std::size_t>(JobKind::kFlowAccumulation)] =
-        registry.create("flow-accumulation")->cost_factor();
+    for (const JobKind kind : {JobKind::kFlowRouting, JobKind::kGaussian,
+                               JobKind::kFlowAccumulation}) {
+      const char* const name = to_string(kind);
+      factor[static_cast<std::size_t>(kind)] =
+          model.factor_for(name, registry.create(name)->cost_factor());
+    }
   }
 
   [[nodiscard]] double of(JobKind kind) const {
@@ -42,7 +41,8 @@ class TrafficEngine {
       : config_(config),
         cluster_(config.cluster, config.context),
         straggler_(cluster_.simulator(), cluster_.network(), cluster_.pfs(),
-                   config.straggler) {
+                   config.straggler),
+        costs_(config.cluster.compute_cost) {
     DAS_REQUIRE(config.arrivals.tenants > 0);
     DAS_REQUIRE(config.arrivals.strip_bytes > 0);
     DAS_REQUIRE(config.arrivals.datasets > 0);

@@ -52,6 +52,20 @@ TEST(TrafficEngineTest, SeedChangesResults) {
             run_traffic(other).slo_csv());
 }
 
+TEST(TrafficEngineTest, KernelCostOverrideMovesMakespan) {
+  // Kernel jobs are priced like the classic executors: a measured override
+  // wins over the registry's built-in factor, and only kernel kinds pay.
+  TrafficConfig costly = small_config();
+  for (const char* name :
+       {"flow-routing", "gaussian-2d", "flow-accumulation"}) {
+    costly.cluster.compute_cost.kernel_cost_factor[name] = 50.0;
+  }
+  const TrafficReport base = run_traffic(small_config());
+  const TrafficReport slow = run_traffic(costly);
+  EXPECT_GT(slow.makespan_s, base.makespan_s);
+  EXPECT_EQ(slow.total.bytes_read, base.total.bytes_read);
+}
+
 TEST(TrafficEngineTest, AdmissionDefersAndStillCompletes) {
   TrafficConfig config = small_config();
   config.arrivals.rate_hz = 50.0;  // burst everything at once

@@ -4,13 +4,16 @@
 // over the model parameters, optionally repeating trials under disk jitter
 // and reporting mean +- stddev, and optionally emitting CSV for plotting.
 //
-// Every flag is one row of kFlags below: name, kind, accepted range or
-// values, default, session role and help line. `das_sim --help` prints the
-// table. Before anything runs, every given flag is checked against its row:
-// an unknown flag, a value that does not parse, an out-of-range number or a
-// bad choice exits 2 with "das_sim: --flag=value: want ...". Checks that
-// relate two flags (an even --nodes, --stragglers at most half of it, ...)
-// follow in main, still before any simulation.
+// Every flag is one row of kFlags below: name, kind, session role, the run
+// modes it acts in, default, help line and accepted range or values.
+// `das_sim --help` prints the table. Before anything runs, every given flag
+// is checked against its row: an unknown flag, a value that does not parse,
+// an out-of-range number or a bad choice exits 2 with "das_sim:
+// --flag=value: want ...". Checks that relate two flags (an even --nodes,
+// --stragglers at most half of it, ...) follow in main, and last the mode
+// check: a flag given off its default in a run mode it does not act in
+// (classic sweep, sparse list sweep or traffic) exits 2 instead of being
+// silently dropped. All of this happens before any simulation.
 //
 // Sparse access (--access, src/core/list_access.hpp): instead of the full
 // raster sweep, read only every K-th row (strided:K), the middle column
@@ -22,10 +25,9 @@
 // does whichever of the two its list-aware decision picks, and the table
 // gains one "list-io ..." pricing line per row showing that decision. A
 // sparse run is one pass of one operation on the scheme's default layout,
-// so --repeats, --pipeline, --pre-distributed and --migrate off their
-// defaults exit 2 under --access instead of being dropped. Under traffic
-// mode, --access=strided:K makes every job fetch each strip's every-K-th
-// 4 KiB row unit as one list request.
+// so --repeats, --pipeline, --pre-distributed and --migrate act in classic
+// mode only. Under traffic mode, --access=strided:K makes every job fetch
+// each strip's every-K-th 4 KiB row unit as one list request.
 //
 // --compute-mibps=auto runs the kernel calibration sweep once at startup
 // and feeds the measured anchor rate plus per-kernel cost factors into the
@@ -36,14 +38,15 @@
 // --jobs); multiply span hop totals by N to estimate whole-run attribution.
 //
 // Vectorized kernel engine (src/kernels/simd.hpp): --kernel-isa pins the
-// data-mode kernels to a narrower instruction set than the CPU supports
-// (auto = widest detected; requesting an unsupported ISA is an error). Every
-// ISA produces bit-identical outputs, so the flag changes wall-clock time
-// only. --calibrate-kernels measures the kernels' real cells/sec on this
-// machine under the active ISA, prints the recommended --compute-mibps and
-// --kernel-cost values, and exits. --kernel-cost overrides the per-kernel
-// compute cost factors the simulated compute engines charge (unlisted
-// kernels keep their built-in guess).
+// kernels to a narrower instruction set than the CPU supports (auto =
+// widest detected; requesting an unsupported ISA is an error). das_sim
+// always simulates in timing mode, where no kernel runs, so the flag
+// governs only the kernels calibration measures: --calibrate-kernels, which
+// prints this machine's real cells/sec and the recommended --compute-mibps
+// and --kernel-cost values and exits, and --compute-mibps=auto. Every ISA
+// produces bit-identical outputs. --kernel-cost overrides the per-kernel
+// compute cost factors the simulated compute engines, classic and traffic
+// alike, charge (unlisted kernels keep their built-in guess).
 //
 // --jobs=N runs the sweep's independent (kernel, scheme, trial) cells on N
 // worker threads (runner::default_jobs() for 0, the same mapping the bench
@@ -126,6 +129,16 @@ enum class Kind { kInt, kReal, kBool, kChoice, kText };
 /// across them.
 enum class Session { kNever, kAlways, kWhenGiven };
 
+/// The run modes a flag acts in, as a bit set: the classic dense sweep, a
+/// sparse --access sweep over list I/O, and the multi-tenant traffic engine.
+enum Modes : unsigned {
+  kClassic = 1,
+  kList = 2,
+  kTraffic = 4,
+  kSweeps = kClassic | kList,
+  kAny = kSweeps | kTraffic,
+};
+
 constexpr double kInf = HUGE_VAL;
 constexpr double kU32 = UINT32_MAX;
 
@@ -145,6 +158,7 @@ struct Flag {
   const char* name;
   Kind kind;
   Session session;
+  Modes modes;
   const char* fallback;  ///< the default, spelled as on the command line
   const char* help;
   Range range = {};
@@ -237,74 +251,115 @@ using enum Session;
 // The kAlways rows' relative order, and kernel-cost before access, are part
 // of the session id: moving one re-keys every pinned experiment.
 const Flag kFlags[] = {
-    {"scheme", kChoice, kAlways, "all", "schemes to run", {},
+    {"scheme", kChoice, kAlways, kSweeps, "all", "schemes to run", {},
      "all|TS|NAS|DAS|ts|nas|das"},
-    {"kernel", kText, kAlways, "flow-routing", "kernels to run", {},
+    {"kernel", kText, kAlways, kSweeps, "flow-routing", "kernels to run", {},
      "all or a registered kernel name", parses<parse_kernels>},
-    {"gib", kInt, kAlways, "24", "input raster size, GiB", {1, 1 << 20}},
-    {"nodes", kInt, kAlways, "24", "nodes (even; half storage)", {2, 1 << 16}},
-    {"trials", kInt, kAlways, "1", "seeds per scheme and kernel", {1, kU32}},
-    {"csv", kBool, kNever, "off", "CSV rows instead of the table"},
-    {"jobs", kInt, kNever, "1", "sweep threads; 0 = one per core", {0, kU32}},
-    {"strip-kib", kInt, kAlways, "1024", "strip size, KiB", {1, 1 << 20}},
-    {"nic-mibps", kInt, kAlways, "110", "NIC bandwidth, MiB/s", {1, kU32}},
-    {"disk-mibps", kInt, kAlways, "700", "disk bandwidth, MiB/s", {1, kU32}},
-    {"compute-mibps", kInt, kAlways, "450", "compute rate, MiB/s", {1, kU32},
-     "auto"},
-    {"startup-s", kInt, kAlways, "12", "job start-up time, s", {0, kU32}},
-    {"jitter-pct", kInt, kAlways, "0", "disk jitter, percent", {0, 99}},
-    {"stragglers", kInt, kAlways, "0", "slow servers, at most nodes/2",
+    {"gib", kInt, kAlways, kAny, "24", "input raster size, GiB",
+     {1, 1 << 20}},
+    {"nodes", kInt, kAlways, kAny, "24", "nodes (even; half storage)",
+     {2, 1 << 16}},
+    {"trials", kInt, kAlways, kSweeps, "1", "seeds per scheme and kernel",
+     {1, kU32}},
+    {"csv", kBool, kNever, kSweeps, "off", "CSV rows instead of the table"},
+    {"jobs", kInt, kNever, kAny, "1", "sweep threads; 0 = one per core",
+     {0, kU32}},
+    {"strip-kib", kInt, kAlways, kAny, "1024", "strip size, KiB",
+     {1, 1 << 20}},
+    {"nic-mibps", kInt, kAlways, kAny, "110", "NIC bandwidth, MiB/s",
+     {1, kU32}},
+    {"disk-mibps", kInt, kAlways, kAny, "700", "disk bandwidth, MiB/s",
+     {1, kU32}},
+    {"compute-mibps", kInt, kAlways, kAny, "450", "compute rate, MiB/s",
+     {1, kU32}, "auto"},
+    {"startup-s", kInt, kAlways, kSweeps, "12", "job start-up time, s",
+     {0, kU32}},
+    {"jitter-pct", kInt, kAlways, kAny, "0", "disk jitter, percent", {0, 99}},
+    {"stragglers", kInt, kAlways, kAny, "0", "slow servers, at most nodes/2",
      {0, 1 << 15}},
-    {"slowdown", kInt, kAlways, "1", "straggler slowdown factor", {1, kU32}},
-    {"group", kInt, kAlways, "16", "DAS group size, strips", {1, kU32}},
-    {"budget-pct", kInt, kAlways, "25", "DAS capacity budget, %", {0, kU32}},
-    {"pipeline", kInt, kAlways, "1", "operations chained per run", {1, kU32}},
-    {"window", kInt, kAlways, "4", "requests in flight per client", {1, kU32}},
-    {"pre-distributed", kBool, kAlways, "on", "DAS input starts planned"},
-    {"repeats", kInt, kAlways, "1", "passes over the same input", {1, kU32}},
-    {"cache-mib", kInt, kAlways, "0", "server strip cache, MiB", {0, 1 << 30}},
-    {"cache-policy", kChoice, kAlways, "lru", "cache eviction", {}, "lru|lfu"},
-    {"prefetch", kBool, kAlways, "on", "halo prefetch (off: demand fetch)"},
-    {"prefetch-depth", kInt, kAlways, "0", "prefetch strips", {0, kU32}},
-    {"migrate", kBool, kAlways, "off", "online layout migration (NAS)"},
-    {"migrate-threshold", kReal, kAlways, "4", "migration trigger", kPositive},
-    {"kernel-isa", kChoice, kNever, "auto", "data-mode kernel ISA", {},
-     "auto|scalar|sse2|avx2"},
-    {"calibrate-kernels", kBool, kNever, "off", "measure kernels and exit"},
-    {"kernel-cost", kText, kWhenGiven, "", "kernel compute cost factors", {},
-     "NAME:FACTOR,... each FACTOR > 0", parses<parse_kernel_cost>},
-    {"access", kText, kWhenGiven, "", "sparse access via list I/O", {},
+    {"slowdown", kInt, kAlways, kAny, "1", "straggler slowdown factor",
+     {1, kU32}},
+    {"group", kInt, kAlways, kSweeps, "16", "DAS group size, strips",
+     {1, kU32}},
+    {"budget-pct", kInt, kAlways, kSweeps, "25", "DAS capacity budget, %",
+     {0, kU32}},
+    {"pipeline", kInt, kAlways, kClassic, "1", "operations chained per run",
+     {1, kU32}},
+    {"window", kInt, kAlways, kSweeps, "4", "requests in flight per client",
+     {1, kU32}},
+    {"pre-distributed", kBool, kAlways, kClassic, "on",
+     "DAS input starts planned"},
+    {"repeats", kInt, kAlways, kClassic, "1", "passes over the same input",
+     {1, kU32}},
+    {"cache-mib", kInt, kAlways, kSweeps, "0", "server strip cache, MiB",
+     {0, 1 << 30}},
+    {"cache-policy", kChoice, kAlways, kSweeps, "lru", "cache eviction", {},
+     "lru|lfu"},
+    {"prefetch", kBool, kAlways, kSweeps, "on",
+     "halo prefetch (off: demand fetch)"},
+    {"prefetch-depth", kInt, kAlways, kSweeps, "0", "prefetch strips",
+     {0, kU32}},
+    {"migrate", kBool, kAlways, kClassic, "off",
+     "online layout migration (NAS)"},
+    {"migrate-threshold", kReal, kAlways, kClassic, "4", "migration trigger",
+     kPositive},
+    {"kernel-isa", kChoice, kNever, kAny, "auto",
+     "kernel ISA for calibration", {}, "auto|scalar|sse2|avx2"},
+    {"calibrate-kernels", kBool, kNever, kAny, "off",
+     "measure kernels and exit"},
+    {"kernel-cost", kText, kWhenGiven, kAny, "",
+     "kernel compute cost factors", {}, "NAME:FACTOR,... each FACTOR > 0",
+     parses<parse_kernel_cost>},
+    {"access", kText, kWhenGiven, kAny, "", "sparse access via list I/O", {},
      "strided:K (1 <= K < 2^32), column or trace:FILE",
      parses<parse_access>},
-    {"tenants", kInt, kAlways, "1", "tenants; > 1 is traffic mode", {1, kU32}},
-    {"tenant-jobs", kInt, kAlways, "8", "jobs per tenant", {1, kU32}},
-    {"arrival-rate", kReal, kAlways, "1", "jobs/s per tenant", kPositive},
-    {"job-mib", kInt, kAlways, "16", "job size, MiB", {1, kU32}},
-    {"datasets", kInt, kAlways, "1", "datasets in the input", {1, kU32}},
-    {"replicas", kInt, kAlways, "2", "replicas per strip", {1, kU32}},
-    {"admission-mib", kInt, kAlways, "0", "admission MiB", {0, 1 << 30}},
-    {"fair-queue", kBool, kAlways, "off", "weighted fair queueing"},
-    {"weights", kText, kAlways, "", "tenant weights", {},
+    {"tenants", kInt, kAlways, kTraffic, "1",
+     "tenants; > 1 selects traffic mode", {1, kU32}},
+    {"tenant-jobs", kInt, kAlways, kTraffic, "8", "jobs per tenant",
+     {1, kU32}},
+    {"arrival-rate", kReal, kAlways, kTraffic, "1", "jobs/s per tenant",
+     kPositive},
+    {"job-mib", kInt, kAlways, kTraffic, "16", "job size, MiB", {1, kU32}},
+    {"datasets", kInt, kAlways, kTraffic, "1", "datasets in the input",
+     {1, kU32}},
+    {"replicas", kInt, kAlways, kTraffic, "2", "replicas per strip",
+     {1, kU32}},
+    {"admission-mib", kInt, kAlways, kTraffic, "0",
+     "admission MiB; > 0 selects traffic mode", {0, 1 << 30}},
+    {"fair-queue", kBool, kAlways, kTraffic, "off",
+     "weighted fair queueing; on selects traffic mode"},
+    {"weights", kText, kAlways, kTraffic, "", "tenant weights", {},
      "W,W,... each W > 0", parses<parse_weights>},
-    {"hedge", kBool, kAlways, "off", "hedge slow reads to a replica"},
-    {"reroute", kBool, kAlways, "off", "route reads off slow servers"},
-    {"trace-file", kText, kAlways, "", "replay jobs from FILE", {}, "FILE"},
-    {"slo", kText, kNever, "", "SLO table to FILE, not stdout", {}, "FILE"},
-    {"trace", kText, kNever, "", "Chrome trace-event JSON", {}, "FILE"},
-    {"audit", kText, kNever, "", "decision-audit CSV", {}, "FILE"},
-    {"log-level", kChoice, kNever, "", "log level", {},
+    {"hedge", kBool, kAlways, kTraffic, "off",
+     "hedge slow reads; on selects traffic mode"},
+    {"reroute", kBool, kAlways, kTraffic, "off",
+     "route off slow servers; on selects traffic mode"},
+    {"trace-file", kText, kAlways, kTraffic, "",
+     "replay jobs from FILE; selects traffic mode", {}, "FILE"},
+    {"slo", kText, kNever, kTraffic, "", "SLO table to FILE, not stdout", {},
+     "FILE"},
+    {"trace", kText, kNever, kAny, "", "Chrome trace-event JSON", {}, "FILE"},
+    {"audit", kText, kNever, kSweeps, "", "decision-audit CSV", {}, "FILE"},
+    {"log-level", kChoice, kNever, kAny, "", "log level", {},
      "trace|debug|info|warn|error|off"},
-    {"metrics", kText, kNever, "", "sampled metrics CSV", {}, "FILE"},
-    {"metrics-prom", kText, kNever, "", "Prometheus metrics", {}, "FILE"},
-    {"metrics-period-ms", kInt, kNever, "50", "sample period, ms", {1, kU32}},
-    {"spans", kBool, kNever, "off", "track causal request spans"},
-    {"span-sample", kInt, kNever, "1", "track 1 in N spans", {1, kU32}},
-    {"flight-record", kText, kNever, "", "SLO-alert span dump", {}, "FILE"},
-    {"slo-target-ms", kReal, kNever, "0", "tenant latency target, ms", {}},
-    {"slo-budget", kReal, kNever, "0.01", "SLO error budget", {0, 1, true}},
-    {"slo-window-s", kReal, kNever, "1", "SLO burn window, s", kPositive},
-    {"diag", kText, kNever, "", "run-cost JSON", {}, "FILE"},
-    {"help", kBool, kNever, "off", "print this table and exit"},
+    {"metrics", kText, kNever, kAny, "", "sampled metrics CSV", {}, "FILE"},
+    {"metrics-prom", kText, kNever, kAny, "", "Prometheus metrics", {},
+     "FILE"},
+    {"metrics-period-ms", kInt, kNever, kAny, "50", "sample period, ms",
+     {1, kU32}},
+    {"spans", kBool, kNever, kAny, "off", "track causal request spans"},
+    {"span-sample", kInt, kNever, kAny, "1", "track 1 in N spans",
+     {1, kU32}},
+    {"flight-record", kText, kNever, kAny, "", "SLO-alert span dump", {},
+     "FILE"},
+    {"slo-target-ms", kReal, kNever, kTraffic, "0",
+     "tenant latency target, ms", {}},
+    {"slo-budget", kReal, kNever, kTraffic, "0.01", "SLO error budget",
+     {0, 1, true}},
+    {"slo-window-s", kReal, kNever, kTraffic, "1", "SLO burn window, s",
+     kPositive},
+    {"diag", kText, kNever, kAny, "", "run-cost JSON", {}, "FILE"},
+    {"help", kBool, kNever, kAny, "off", "print this table and exit"},
 };
 
 const Flag& flag(const std::string& name) {
@@ -373,17 +428,32 @@ void check_flags(const Args& args) {
   }
 }
 
+/// "classic,list", "traffic", ... or "any" for every mode.
+std::string mode_names(unsigned modes) {
+  if (modes == kAny) return "any";
+  std::string out;
+  for (const auto& [bit, name] : {std::pair{kClassic, "classic"},
+                                  std::pair{kList, "list"},
+                                  std::pair{kTraffic, "traffic"}}) {
+    if ((modes & bit) != 0) out += (out.empty() ? "" : ",") + std::string(name);
+  }
+  return out;
+}
+
 void print_help() {
   static const char* const kRoles[] = {"never", "always", "when-given"};
   std::printf(
       "usage: das_sim [--flag=value ...]\n"
-      "Each flag: --name=default, accepted values, session role, help.\n"
-      "Session roles: always = hashed into the session id as given;\n"
-      "when-given = hashed only when given; never = not hashed.\n\n");
+      "Each flag: --name=default, accepted values, session role, modes,\n"
+      "help. Session roles: always = hashed into the session id as given;\n"
+      "when-given = hashed only when given; never = not hashed. Modes: the\n"
+      "runs the flag acts in (classic sweep, list = sparse --access sweep,\n"
+      "traffic); off its default elsewhere, a flag exits 2.\n\n");
   for (const Flag& f : kFlags) {
-    std::printf("  --%s%s%s  %s  [session: %s]\n      %s\n", f.name,
-                *f.fallback != '\0' ? "=" : "", f.fallback, want(f).c_str(),
-                kRoles[static_cast<int>(f.session)], f.help);
+    std::printf("  --%s%s%s  %s  [session: %s] [modes: %s]\n      %s\n",
+                f.name, *f.fallback != '\0' ? "=" : "", f.fallback,
+                want(f).c_str(), kRoles[static_cast<int>(f.session)],
+                mode_names(f.modes).c_str(), f.help);
   }
 }
 
@@ -403,12 +473,32 @@ double real_arg(const Args& args, const std::string& name) {
 bool bool_arg(const Args& args, const std::string& name) {
   return parse_bool(text_arg(args, name)).value();
 }
-/// Whether --`name` (an integer or bool flag) holds its default value.
-bool at_default(const Args& args, const std::string& name) {
-  const Flag& f = flag(name);
-  return f.kind == kBool
-             ? bool_arg(args, name) == parse_bool(f.fallback)
-             : int_arg(args, name) == parse_number<std::int64_t>(f.fallback);
+/// Whether `f` holds its default value: numbers compare numerically ("1.0"
+/// is "1"), bools by meaning ("false" is "off"), other kinds as text.
+bool at_default(const Args& args, const Flag& f) {
+  const std::string value = text_arg(args, f.name);
+  switch (f.kind) {
+    case kInt:
+    case kReal:
+      return parse_number<double>(value) == parse_number<double>(f.fallback);
+    case kBool: return parse_bool(value) == parse_bool(f.fallback);
+    case kChoice:
+    case kText: break;
+  }
+  return value == f.fallback;
+}
+
+/// Reject the first flag, in table order, given off its default in a run
+/// `mode` it does not act in: the run would silently drop it.
+void check_modes(const Args& args, Modes mode) {
+  for (const Flag& f : kFlags) {
+    if ((f.modes & mode) != 0 || at_default(args, f)) continue;
+    reject(f.name, text_arg(args, f.name),
+           (*f.fallback != '\0' ? "its default " + std::string(f.fallback)
+                                 : std::string("no value")) +
+               " in " + mode_names(mode) + " mode (it acts in " +
+               mode_names(f.modes) + ")");
+  }
 }
 
 /// Canonical configuration string the session id is hashed from; see
@@ -566,9 +656,9 @@ int main(int argc, char** argv) {
     base.cluster.prefetch.depth = prefetch_depth;
     if (base.cluster.prefetch.active() &&
         !base.cluster.server_cache.active()) {
-      throw std::invalid_argument(
-          "--prefetch-depth requires --cache-mib > 0 (prefetched strips land "
-          "in the server strip cache)");
+      reject("prefetch-depth", text_arg(args, "prefetch-depth"),
+             "0 unless --cache-mib > 0 (prefetched strips land in the server "
+             "strip cache)");
     }
     base.migration.enabled = bool_arg(args, "migrate");
     base.migration.divergence_threshold = real_arg(args, "migrate-threshold");
@@ -624,14 +714,9 @@ int main(int argc, char** argv) {
           "traffic mode supports --access=strided:K only (column and "
           "trace patterns need the classic sweep's raster geometry)");
     }
-    // run_list_scheme has no knob for these; reject rather than drop them.
-    for (const char* name : {"repeats", "pipeline", "pre-distributed",
-                             "migrate"}) {
-      if (!traffic_mode && access.active() && !at_default(args, name)) {
-        reject(name, text_arg(args, name),
-               "its default with --access=" + access.label());
-      }
-    }
+    check_modes(args, traffic_mode    ? kTraffic
+                      : access.active() ? kList
+                                        : kClassic);
 
     das::telemetry::PlaneConfig plane_cfg;
     plane_cfg.prometheus = !text_arg(args, "metrics-prom").empty();
